@@ -31,7 +31,7 @@ from .apps import (
     voting_comparative_statics,
     voting_to_game,
 )
-from .design import canonicalize, commitment_solution, solve_lp
+from .design import DEFAULT_GRID, commitment_solution
 from .equilibrium import (
     check_c3i,
     check_cni,
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--grid",
         type=int,
-        default=481,
+        default=DEFAULT_GRID,
         help="LP grid size for games with more than three actions",
     )
     common.add_argument(
@@ -508,12 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-10,
         help="tolerance for the feasibility audit of emitted distributions",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized suites; the verbs here are deterministic",
     )
     common.add_argument(
         "--csv", default=None, metavar="DIR", help="write plot data into DIR"
@@ -599,8 +593,6 @@ _DISPATCH = dict(
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
-    if getattr(args, "seed", None) is not None:
-        log.debug("seed %d accepted; output does not depend on it", args.seed)
     try:
         out = _DISPATCH[args.verb](args)
     except SpecError as err:

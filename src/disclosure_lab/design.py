@@ -238,24 +238,31 @@ def _three_action_candidates(spec: GameSpec):
                 Segment(interval(x_lo, 1.0), "pooling", (g1,)),
             ]
 
-    nested = _best_nested(spec, x_hi)
-    if nested is not None:
-        b, h, y, _ = nested
+    y = _best_nested(spec, x_hi)
+    if y is not None:
         segs = []
-        if y > _NULL:
+        if prior.cdf(y) > _NULL:
             segs.append(Segment(interval(0.0, y), "pooling",
                                 (prior.partial_mean(interval(0.0, y)),)))
         segs.append(Segment(interval(y, 1.0), "bipooling", (g1, g2)))
         yield "nested", segs
 
 
-def _best_nested(spec: GameSpec, x_hi: Optional[float]):
-    """Maximize the nested-structure payoff over its free endpoint b.
+def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
+    """Best nested structure: [h, b] pooled at the lower cutoff g1,
+    [y, h] + [b, 1] at the upper cutoff g2 and [0, y] below both, with
+    h and y fixed by the free endpoint b through two mean equations.
 
-    The structure pools [h, b] to the lower cutoff and [y, h] + [b, 1]
-    to the upper one, revealing nothing; h and y follow from b through
-    two mean equations. The scan plus golden-section plus a final
-    bisection on the closed-form derivative sign pins the optimum.
+    Every feasibility condition is monotone in b, so the feasible b
+    form one interval [b_lo, b_hi]. Differentiating the mean equations
+    gives dy/db <= 0 and a payoff slope of
+
+        f(b) (b - h) / (g1 - h) * (v1 - v2 + v2 (g2 - g1) / (g2 - y)),
+
+    so the payoff rises while y > y* = g2 - v2 (g2 - g1) / (v2 - v1)
+    and falls once y < y*. The optimum is y* clipped to the range of y,
+    for every prior, zero-density stretches included. Returns the
+    optimum's y, or None when no b is feasible.
     """
     prior = spec.prior
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
@@ -276,7 +283,7 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]):
     F, M = prior.cdf, prior.first_moment
     F1, M1 = F(1.0), M(1.0)
 
-    def solve_hy(b: float):
+    def solve_y(b: float) -> Optional[float]:
         # Residuals use F and M directly, not IntervalUnion and
         # partial_mean: this is the hot loop of the three-action solver.
         low_mean = prior.partial_mean(interval(0.0, b))
@@ -315,82 +322,34 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]):
             y = h
         else:
             y = find_root(y_res, 0.0, h)
-        return h, y
+        return y
 
-    def payoff(b: float):
-        hy = solve_hy(b)
-        if hy is None:
-            return None
-        h, y = hy
-        return (
-            v1 * (F(b) - F(h)) + v2 * (1.0 - F(b) + F(h) - F(y)),
-            h,
-            y,
-        )
-
-    n_scan = 241
-    grid = [b_lo + (b_cap - b_lo) * k / (n_scan - 1) for k in range(n_scan)]
-    evals = [(b, payoff(b)) for b in grid]
-    feasible = [(b, p) for b, p in evals if p is not None]
-    if not feasible:
+    y_lo = solve_y(b_lo)
+    if y_lo is None:
         return None
-    best_idx = max(range(len(feasible)), key=lambda k: feasible[k][1][0])
-    b_star = feasible[best_idx][0]
-    step = (b_cap - b_lo) / (n_scan - 1)
-    lo = max(b_lo, b_star - step)
-    hi = min(b_cap, b_star + step)
+    y_star = g2 - v2 * (g2 - g1) / (v2 - v1)
+    if y_star >= y_lo:
+        return y_lo
 
-    def value(b: float) -> float:
-        p = payoff(b)
-        return -1e30 if p is None else p[0]
+    # The range ends where y leaves [0, h] or the top cell runs out of
+    # mass, by either side depending on the game, so search on
+    # feasibility itself; y falls with b, so the least y the search
+    # meets is the end of its range. b_cap is feasible only in
+    # degenerate games, where the mean of [b, 1] is flat across a
+    # zero-density stretch around x_hi.
+    y_hi = y_lo
 
-    # golden-section bracket shrink
-    invphi = (5**0.5 - 1) / 2
-    a, d = lo, hi
-    c1 = d - invphi * (d - a)
-    c2 = a + invphi * (d - a)
-    f1, f2 = value(c1), value(c2)
-    while d - a > 1e-6:
-        if f1 >= f2:
-            d, c2, f2 = c2, c1, f1
-            c1 = d - invphi * (d - a)
-            f1 = value(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (d - a)
-            f2 = value(c2)
+    def inside(b: float) -> float:
+        nonlocal y_hi
+        y = solve_y(b)
+        if y is None:
+            return -1.0
+        y_hi = min(y_hi, y)
+        return 1.0
 
-    def dsign(b: float) -> float:
-        hy = solve_hy(b)
-        if hy is None:
-            return 0.0
-        h, y = hy
-        f = prior.pdf
-        dh = (b - g1) * f(b) / ((h - g1) * f(h)) if f(h) > 0 and abs(h - g1) > 1e-13 else 0.0
-        denom = (y - g2) * f(y)
-        if abs(denom) <= 1e-300:
-            dy = 0.0
-        else:
-            dy = ((h - g2) * f(h) * dh - (b - g2) * f(b)) / denom
-        return (v1 - v2) * (f(b) - f(h) * dh) - v2 * f(y) * dy
-
-    sa, sd = dsign(a), dsign(d)
-    if sa > 0 and sd < 0:
-        while d - a > 1e-11:
-            m = 0.5 * (a + d)
-            if dsign(m) > 0:
-                a = m
-            else:
-                d = m
-        b_star = 0.5 * (a + d)
-    else:
-        b_star = a if value(a) >= value(d) else d
-
-    out = payoff(b_star)
-    if out is None:
-        return None
-    p, h, y = out
-    return b_star, h, y, p
+    if inside(b_cap) < 0.0:
+        find_root(inside, b_lo, b_cap)
+    return max(y_star, y_hi)
 
 
 def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
@@ -422,6 +381,9 @@ def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
 
 
 _CHECK_SET_N = 1001
+
+# LP atom grid size wherever none is given, the CLI's --grid included.
+DEFAULT_GRID = 961
 
 
 def _check_points(spec: GameSpec) -> np.ndarray:
@@ -539,10 +501,10 @@ def _lp_two_stage(spec: GameSpec, grid_size: int):
     if abs(total - 1.0) > 1e-6:
         raise SolverError("LP mass drifted away from one")
     weights = weights / total
-    return value, x, weights
+    return x, weights
 
 
-def lp_value(spec: GameSpec, grid_size: int = 481) -> float:
+def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
     """Optimal value of the commitment LP on the given atom grid."""
     require_valid(spec)
     return _lp_stage1(spec, grid_size)[0]
@@ -714,16 +676,12 @@ def _snap_means(spec: GameSpec, segments: list[Segment], snap: float) -> list[Se
     return out
 
 
-def solve_lp(spec: GameSpec, grid_size: int = 481) -> MeanDistribution:
-    """Commitment optimum by linear programming on an atom grid.
-
-    Returns the recovered exact distribution whenever the segment
-    structure can be read off the LP solution, and the raw renormalized
-    atom weights otherwise. Either way the value is a lower bound on
-    the commitment payoff.
-    """
-    require_valid(spec)
-    value, x, weights = _lp_two_stage(spec, grid_size)
+def _lp_solution(spec: GameSpec, grid_size: int) -> BiPoolingSolution:
+    """Commitment optimum by linear programming on an atom grid, with
+    the segment structure read off the LP solution and realized
+    exactly. Raises SolverError when the structure cannot be read off
+    or the realized distribution fails its audit."""
+    x, weights = _lp_two_stage(spec, grid_size)
     support = [(float(xi), float(w)) for xi, w in zip(x, weights) if w > 0.0]
     spacing = 1.0 / (grid_size - 1)
     segments = _recover_segments(
@@ -734,11 +692,21 @@ def solve_lp(spec: GameSpec, grid_size: int = 481) -> MeanDistribution:
             sol = _realize_segments(
                 spec, _snap_means(spec, segments, 2.6 * spacing)
             )
-            if not sol.distribution.validate(spec.prior):
-                return sol.distribution
-        except (SolverError, SpecError):
-            pass
-    return MeanDistribution(tuple(support), revealed=None, payoff=value)
+        except (SolverError, SpecError):  # e.g. a snapped segment with no mass
+            sol = None
+        if sol is not None and not sol.distribution.validate(spec.prior):
+            return sol
+    raise SolverError(
+        "segment recovery failed for the LP solution; refine the grid"
+    )
+
+
+def solve_lp(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> MeanDistribution:
+    """Commitment optimum by linear programming on an atom grid, for
+    any number of actions, as the exact distribution recovered from the
+    LP solution. Raises SolverError when recovery fails."""
+    require_valid(spec)
+    return _lp_solution(spec, grid_size).distribution
 
 
 def canonicalize(
@@ -763,7 +731,9 @@ def canonicalize(
     return sol.canonical
 
 
-def commitment_solution(spec: GameSpec, grid_size: int = 961) -> BiPoolingSolution:
+def commitment_solution(
+    spec: GameSpec, grid_size: int = DEFAULT_GRID
+) -> BiPoolingSolution:
     """Dispatch to the exact structural solver when available.
 
     Two and three action games solve in closed form and ignore
@@ -774,17 +744,7 @@ def commitment_solution(spec: GameSpec, grid_size: int = 961) -> BiPoolingSoluti
         return solve_two_action(spec)
     if spec.n_actions == 3:
         return solve_three_action(spec)
-    value, x, weights = _lp_two_stage(spec, grid_size)
-    support = [(float(xi), float(w)) for xi, w in zip(x, weights) if w > 0.0]
-    spacing = 1.0 / (grid_size - 1)
-    segments = _recover_segments(
-        spec.prior, support, None, atom_spacing=spacing
-    )
-    if segments is None:
-        raise SolverError(
-            "segment recovery failed for the LP solution; refine the grid"
-        )
-    return _realize_segments(spec, _snap_means(spec, segments, 2.6 * spacing))
+    return _lp_solution(spec, grid_size)
 
 
 def commitment_payoff(spec: GameSpec) -> float:

@@ -251,9 +251,9 @@ def ore_at_payoff(
 ) -> DeterministicRepresentation:
     """An equilibrium representation with the given sender payoff.
 
-    Sweeps a revelation threshold from the preferred equilibrium (no
-    extra revelation) to full disclosure, then bisects the continuous
-    payoff path inside the bracketing step.
+    Sweeps a revelation threshold z from the preferred equilibrium (no
+    extra revelation) toward full disclosure at the top cutoff, and
+    finds the z at which the continuous payoff path meets the target.
     """
     require_valid(spec)
     if preferred is None:
@@ -276,30 +276,12 @@ def ore_at_payoff(
         return representation_payoff(spec, sweep_representation(spec, base, z))
 
     z_hi = spec.cutoffs[spec.n_actions - 1]
-    step = 1e-3
-    z_prev, p_prev = 0.0, r_s
-    bracket = None
-    z = step
-    while z < z_hi + step:
-        z_cur = min(z, z_hi)
-        p_cur = payoff_at(z_cur)
-        if (p_prev - target) * (p_cur - target) <= 0.0:
-            bracket = (z_prev, z_cur, p_prev, p_cur)
-            break
-        z_prev, p_prev = z_cur, p_cur
-        z += step
-    if bracket is None:
-        # continuity guarantees a crossing; the endpoint is the last resort
-        bracket = (z_hi, z_hi, payoff_at(z_hi), payoff_at(z_hi))
-    lo, hi, p_lo, p_hi = bracket
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        p_mid = payoff_at(mid)
-        if (p_lo - target) * (p_mid - target) <= 0.0:
-            hi, p_hi = mid, p_mid
-        else:
-            lo, p_lo = mid, p_mid
-    out = sweep_representation(spec, base, 0.5 * (lo + hi))
+    if payoff_at(z_hi) >= target:
+        # the range check lets a target sit a little below the path's end
+        z = z_hi
+    else:
+        z = find_root(lambda t: payoff_at(t) - target, 0.0, z_hi)
+    out = sweep_representation(spec, base, z)
     got = representation_payoff(spec, out)
     if abs(got - target) > 1e-7:
         raise SolverError(

@@ -217,17 +217,3 @@ def dominance_gap(
 
 def is_mpc(prior: Prior, dist: MeanDistribution, grid: int = 1001, tol: float = 1e-8) -> bool:
     return dominance_gap(prior, dist, grid) <= tol and not dist.validate(prior)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """A solved outcome: the induced mean distribution and its payoff."""
-
-    distribution: MeanDistribution
-    payoff: float
-
-    def validate(self, spec: GameSpec) -> list[str]:
-        problems = self.distribution.validate(spec.prior)
-        if abs(self.payoff - self.distribution.expected_value(spec)) > 1e-9:
-            problems.append("payoff does not match the distribution")
-        return problems

@@ -21,7 +21,9 @@ from disclosure_lab import (
     solve_three_action,
     solve_two_action,
     uniform_prior,
+    value_at,
 )
+from disclosure_lab.prior import find_root
 
 from conftest import random_three_action
 
@@ -94,6 +96,135 @@ def test_three_action_golden_tight_cutoffs(exy):
     )
 
 
+def test_canonical_cells_land_on_closed_forms(gk2016, exy):
+    """The nested optimum is a root of the first-order condition, so
+    its cell ends are exact and not just within a search tolerance."""
+    for spec, want in (
+        (gk2016, [1.0 / 6.0, 11.0 / 48.0, 21.0 / 48.0]),
+        (exy, [4.0 / 15.0, 16.0 / 45.0, 38.0 / 45.0]),
+    ):
+        cells = solve_three_action(spec).canonical.cells
+        got = [cells[0].hi, cells[1].lo, cells[1].hi]
+        assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def _scan_prior(rng, family):
+    """Uniform, two-piece, many-knot with near-zero densities, or
+    many-knot with zero-density stretches."""
+    if family == "uniform":
+        return uniform_prior()
+    if family == "two-piece":
+        knots = (0.0, float(rng.uniform(0.15, 0.85)), 1.0)
+        return plinear_prior(knots, tuple(rng.uniform(0.4, 1.6, 3).tolist()))
+    n = int(rng.integers(6, 10))
+    inner = np.sort(rng.uniform(0.05, 0.95, n - 2))
+    while np.diff(inner).min() < 0.02:
+        inner = np.sort(rng.uniform(0.05, 0.95, n - 2))
+    density = rng.uniform(0.5, 3.0, n)
+    low = rng.uniform(size=n) < 0.4
+    density[low] = 0.0 if family == "gaps" else rng.uniform(0.0, 0.02, low.sum())
+    density[0] = 1.0  # keeps some mass whatever the draw
+    return plinear_prior([0.0, *inner.tolist(), 1.0], density.tolist())
+
+
+def _scan_game(rng, family, tight):
+    """Three-action game on a _scan_prior family with spread (mostly
+    implementable) or tight cutoffs."""
+    prior = _scan_prior(rng, family)
+    if tight:
+        g1 = float(rng.uniform(0.5, 0.75))
+        g2 = g1 + float(rng.uniform(0.05, 0.15))
+        v2 = float(rng.uniform(1.05, 1.6))
+    else:
+        g1 = float(rng.uniform(0.15, 0.45))
+        g2 = g1 + float(rng.uniform(0.2, 0.45))
+        v2 = float(rng.uniform(2.0, 4.0))
+    return GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2))
+
+
+def _nested_scan_payoff(spec, n=301):
+    """Best payoff of the nested structure over an even grid of its free
+    endpoint b, from the prior's mean equations alone: [h, b] pooled at
+    the lower cutoff, [y, h] + [b, 1] at the upper one and [0, y] at its
+    own mean. Each is a partition of the states, so a feasible outcome
+    whose payoff bounds the commitment payoff from below. Points where
+    [g1, b] or [b, 1] carry no mass have no such partition and are
+    skipped."""
+    prior = spec.prior
+    g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
+    v1, v2 = spec.values[1], spec.values[2]
+    best = None
+    for b in np.linspace(g1, 1.0, n)[1:-1].tolist():
+        if min(prior.mass(interval(g1, b)), prior.mass(interval(b, 1.0))) < 1e-12:
+            continue
+        if prior.partial_mean(interval(0.0, b)) > g1:
+            break  # the mean of [0, b] only grows with b
+        h = find_root(lambda t: prior.partial_mean(interval(t, b)) - g1, 0.0, g1)
+        top = lambda t: interval(t, h).union(interval(b, 1.0))
+        res = lambda t: prior.partial_mean(top(t)) - g2
+        if res(0.0) > 0.0 or res(h) < 0.0:
+            continue
+        y = find_root(res, 0.0, h)
+        payoff = v1 * prior.mass(interval(h, b)) + v2 * prior.mass(top(y))
+        low = interval(0.0, y)
+        if prior.mass(low) > 1e-14:
+            payoff += value_at(spec, prior.partial_mean(low)) * prior.mass(low)
+        best = payoff if best is None else max(best, payoff)
+    return best
+
+
+def _beats_scan(spec):
+    best = _nested_scan_payoff(spec)
+    if best is None:
+        return False
+    sol = solve_three_action(spec)
+    assert sol.payoff >= best - 1e-12
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+    assert not sol.distribution.validate(spec.prior)
+    return True
+
+
+def test_nested_optimum_beats_a_dense_scan_of_its_endpoint():
+    """The solver puts the nested optimum where the payoff slope in b
+    changes sign, which it does once for every prior; no point of a
+    dense scan may beat it, also for multi-modal priors and priors with
+    near-zero or zero density over a stretch."""
+    rng = np.random.default_rng(2024)
+    scanned = {}
+    for k in range(24):
+        family = ("uniform", "two-piece", "near-zero", "gaps")[k % 4]
+        spec = _scan_game(rng, family, tight=k // 4 % 2 == 1)
+        scanned[family] = scanned.get(family, 0) + _beats_scan(spec)
+    assert min(scanned.values()) >= 2, scanned
+
+
+def test_nested_optimum_past_a_zero_density_gap():
+    """With g1 inside a zero-density gap the payoff is flat in b from
+    g1 to the end of the gap and peaks past it."""
+    prior = plinear_prior(
+        (0.0, 0.35, 0.4, 0.6, 0.65, 1.0), (1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    )
+    for g1, g2, v2 in ((0.41, 0.71, 3.0), (0.47, 0.67, 1.5), (0.53, 0.73, 1.5)):
+        assert _beats_scan(GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2)))
+
+
+def test_nested_range_ending_inside_a_zero_density_gap():
+    """Cutoffs at the means of the two halves of a symmetric gapped
+    prior: the feasible b run to the end of their search range, inside
+    the gap, and the optimum splits the states at the gap, each half to
+    its own action."""
+    prior = plinear_prior(
+        (0.0, 0.4, 0.41, 0.59, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    )
+    g1 = prior.partial_mean(interval(0.0, 0.5))
+    g2 = prior.partial_mean(interval(0.5, 1.0))
+    for v2 in (1.5, 3.0):
+        spec = GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2))
+        sol = solve_three_action(spec)
+        assert sol.payoff == pytest.approx(0.5 + 0.5 * v2, abs=1e-12)
+        assert not sol.distribution.validate(prior)
+
+
 def test_lp_value_close_to_structural(gk2016, exy):
     assert lp_value(gk2016, 481) == pytest.approx(100.0 / 48.0, abs=1e-3)
     assert lp_value(exy, 481) == pytest.approx(121.0 / 150.0, abs=1e-3)
@@ -119,6 +250,17 @@ def test_solve_lp_recovers_the_structural_solution(gk2016):
     assert_allclose(locs, [1.0 / 3.0, 2.0 / 3.0], atol=1e-6)
     assert dist.revealed is not None
     assert dist.revealed.hi == pytest.approx(1.0 / 6.0, abs=1e-3)
+
+
+def test_solve_lp_raises_when_recovery_fails():
+    """solve_lp and commitment_solution share one LP path, so a game
+    whose segment structure cannot be read off the LP solution raises
+    instead of coming back as raw grid atoms."""
+    spec = GameSpec(
+        uniform_prior(), (0.0, 0.25, 0.78, 0.94, 1.0), (0.0, 1.3, 2.6, 3.9)
+    )
+    with pytest.raises(SolverError, match="segment recovery failed"):
+        solve_lp(spec)
 
 
 def test_canonicalize_structural_distribution(exy):
