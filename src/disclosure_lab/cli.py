@@ -31,7 +31,7 @@ from .apps import (
     voting_comparative_statics,
     voting_to_game,
 )
-from .design import DEFAULT_GRID, commitment_solution
+from .design import commitment_solution
 from .equilibrium import (
     check_c3i,
     check_cni,
@@ -300,8 +300,8 @@ def _solve_out(spec: GameSpec, args) -> dict:
     if spec.n_actions <= 3:
         log.info("structural solver, %d actions", spec.n_actions)
     else:
-        log.info("LP solver on a %d point grid", args.grid)
-    sol = commitment_solution(spec, grid_size=args.grid)
+        log.info("Lorenz-cut cell solver, %d actions", spec.n_actions)
+    sol = commitment_solution(spec)
     gap = dominance_gap(spec.prior, sol.distribution)
     out = {
         "verb": "solve",
@@ -496,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "input", help="path to a JSON file, or the JSON text itself"
-    )
-    common.add_argument(
-        "--grid",
-        type=int,
-        default=DEFAULT_GRID,
-        help="LP grid size for games with more than three actions",
     )
     common.add_argument(
         "--tol",

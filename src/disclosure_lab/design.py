@@ -5,10 +5,11 @@ posterior means, with feasibility exactly the mean-preserving
 contractions of the prior. Optimal solutions partition the state space
 into segments that are either revealed or pooled, where a pooled
 segment carries one posterior mean and a bi-pooled segment carries
-two; for two and three actions this module enumerates the
-candidate structures in closed form, and for larger games it solves a
-grid LP and recovers the segment structure from the solution's
-integrated cdf geometry.
+two. For two and three actions this module enumerates the candidate
+structures in closed form; for larger games it solves for one atom per
+action cell under the prior's Lorenz-curve constraints, and reads the
+segments off the binding ones. A grid LP (``lp_value``) stays as the
+oracle the exact solvers are checked against.
 """
 
 from __future__ import annotations
@@ -33,18 +34,17 @@ from .representation import DeterministicRepresentation, nested_interval_rep
 _NULL = 1e-12
 
 
-def _snap_loc(spec: GameSpec, mean: float, target: float) -> float:
-    """Atom location for a pooled mean, absorbing root-finder dust.
+def _snap_to_cutoff(spec: GameSpec, mean: float) -> float:
+    """A mean within 1e-9 of an interior cutoff, moved onto it: one ulp
+    below would flip the receiver to the lower action."""
+    return next((c for c in spec.cutoffs[1:-1] if abs(c - mean) <= 1e-9), mean)
 
-    A pool pinned to a cutoff must sit exactly on it: one ulp below
-    would flip the receiver to the lower action.
-    """
+
+def _snap_loc(spec: GameSpec, mean: float, target: float) -> float:
+    """Atom location for a pooled mean, absorbing root-finder dust."""
     if abs(mean - target) <= 1e-9:
         return target
-    for c in spec.cutoffs[1:-1]:
-        if abs(c - mean) <= 1e-9:
-            return c
-    return mean
+    return _snap_to_cutoff(spec, mean)
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,12 @@ def _realize_segments(
     approximate the incoming segment annotations were. A pooled segment
     whose recomputed mean falls on the wrong side of the cutoff its
     annotated mean sits on is trimmed: the left sliver is revealed and
-    the rest pooled to exactly that cutoff.
+    the rest pooled to exactly that cutoff. Regions stop where the
+    prior's mass does, so no cell reaches through an empty tail past a
+    cutoff its states never cross.
     """
     prior = spec.prior
+    support = interval(0.0, prior.quantile(1.0))
     cells: list[IntervalUnion] = [IntervalUnion.empty() for _ in spec.values]
     atoms: list[tuple[float, float]] = []
     revealed = IntervalUnion.empty()
@@ -95,7 +98,7 @@ def _realize_segments(
         out_segments.append(Segment(region, "revealed", ()))
 
     for seg in sorted(segments, key=lambda s: s.outer.lo):
-        region = seg.outer
+        region = seg.outer.intersect(support)
         if prior.mass(region) <= _NULL:
             continue
         if seg.kind == "revealed":
@@ -175,8 +178,18 @@ def _realize_segments(
 
 
 def _upper_mean_root(prior: Prior, target: float) -> float:
-    """x with E[state | state >= x] = target; needs prior mean <= target."""
-    residual = lambda x: prior.partial_mean(interval(x, 1.0)) - target
+    """x with E[state | state >= x] = target; needs prior mean <= target.
+
+    A tail [x, 1] without prior mass reads as mean x, which keeps the
+    residual continuous and increasing where the prior ends early.
+    """
+
+    def residual(x: float) -> float:
+        tail = interval(x, 1.0)
+        if prior.mass(tail) <= 1e-14:
+            return x - target
+        return prior.partial_mean(tail) - target
+
     if residual(0.0) >= 0.0:
         return 0.0
     return find_root(residual, 0.0, target)
@@ -367,8 +380,113 @@ def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
     return best
 
 
+# LP weights at or below this are solver noise, and a Lorenz constraint
+# within it of equality binds.
+_ATOM = 1e-9
+# Largest Lorenz violation the cutting-plane loop accepts, and its
+# round cap; HiGHS at _LP_OPTS leaves violations near 3e-11.
+_CUT_TOL = 1e-10
+_CUT_ROUNDS = 50
+_LP_OPTS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
+    """Exact commitment optimum for any number of actions.
+
+    Merging the atoms of one action cell into their barycentre contracts
+    the distribution and keeps the payoff, so some optimum has one atom
+    per cell, with mass p_i and first moment q_i. With P_k, Q_k the
+    running sums, the atoms are a mean-preserving contraction of the
+    prior iff Q_k >= L(P_k) for every k, where L(s) = M(F^-1(s)) is the
+    prior's convex Lorenz curve, with slope F^-1(s) at s. Keeping each
+    atom in its cell is linear, g_i p_i <= q_i <= g_{i+1} p_i, so the
+    problem is an LP in (p, q) plus n - 1 convex constraints, which
+    tangent cuts to L enforce (Kleiner, Moldovanu and Strack 2021).
+
+    Each binding k splits [0, 1] at F^-1(P_k); between splits sit one
+    atom (a pool) or two (a bi-pool, Arieli et al. 2023), and
+    ``_realize_segments`` recomputes both exactly from the prior.
+    """
+    prior = spec.prior
+    n, g = spec.n_actions, spec.cutoffs
+
+    def lorenz(s: float) -> float:
+        return prior.first_moment(prior.quantile(s))
+
+    cost = np.concatenate([-np.array(spec.values), np.zeros(n)])
+    a_eq = np.kron(np.eye(2), np.ones(n))  # sum p = 1, sum q = prior mean
+    b_eq = [1.0, prior.mean]
+    eye = np.eye(n)
+    rows = [
+        np.hstack([np.diag(g[:-1]), -eye]),  # g_i p_i - q_i <= 0
+        np.hstack([-np.diag(g[1:]), eye]),  # q_i - g_{i+1} p_i <= 0
+    ]
+    rhs = [np.zeros(n), np.zeros(n)]
+    prefix = np.tril(np.ones((n - 1, n)))
+
+    def cut(s: float) -> None:
+        # tangent at s: Q_k >= L(s) + F^-1(s) (P_k - s), for every k
+        x = prior.quantile(s)
+        rows.append(np.hstack([x * prefix, -prefix]))
+        rhs.append(np.full(n - 1, x * s - lorenz(s)))
+
+    # start from tangents at the cutoffs' quantiles and on an even grid
+    for s in [prior.cdf(c) for c in g[1:-1]] + [j / 8.0 for j in range(1, 8)]:
+        cut(s)
+    for _ in range(_CUT_ROUNDS):
+        res = linprog(
+            cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+            A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
+            method="highs", options=_LP_OPTS,
+        )
+        if not res.success:
+            raise SolverError(f"commitment LP failed: {res.message}")
+        p, q = res.x[:n], res.x[n:]
+        run_p, run_q = np.cumsum(p)[:-1], np.cumsum(q)[:-1]
+        slack = [qk - lorenz(pk) for pk, qk in zip(run_p, run_q)]
+        if min(slack) >= -_CUT_TOL:
+            break
+        for pk, sk in zip(run_p, slack):
+            if sk < -_CUT_TOL:
+                cut(pk)
+    else:
+        raise SolverError(
+            f"Lorenz cuts did not converge in {_CUT_ROUNDS} rounds"
+        )
+
+    segments: list[Segment] = []
+    group: list[float] = []
+    lo, split = 0.0, None
+
+    def close(hi: float) -> None:
+        if len(group) > 2:
+            raise SolverError(
+                f"{len(group)} atoms share the segment [{lo:.12g}, {hi:.12g}]"
+            )
+        kind = "pooling" if len(group) == 1 else "bipooling"
+        segments.append(Segment(interval(lo, hi), kind, tuple(group)))
+
+    for i in range(n):
+        if p[i] > _ATOM:
+            if split is not None:
+                hi = prior.quantile(split)
+                close(hi)
+                group, lo = [], hi
+            mean = min(max(q[i] / p[i], g[i]), g[i + 1])
+            group.append(_snap_to_cutoff(spec, float(mean)))
+            split = None
+        # the first binding constraint after an atom ends its segment
+        if group and split is None and i < n - 1 and slack[i] <= _ATOM:
+            split = run_p[i]
+    close(1.0)
+    return _realize_segments(spec, segments)
+
+
 # ---------------------------------------------------------------------------
-# LP route
+# LP oracle
 
 
 def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
@@ -382,7 +500,7 @@ def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
 
 _CHECK_SET_N = 1001
 
-# LP atom grid size wherever none is given, the CLI's --grid included.
+# Atom grid size of lp_value wherever none is given.
 DEFAULT_GRID = 961
 
 
@@ -393,12 +511,6 @@ def _check_points(spec: GameSpec) -> np.ndarray:
     cuts = np.array(spec.cutoffs, dtype=float)
     keep = base[np.all(np.abs(base[:, None] - cuts[None, :]) > 1e-12, axis=1)]
     return np.unique(np.concatenate([keep, cuts]))
-
-
-_LP_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 
 def _lp_problem(spec: GameSpec, grid_size: int):
@@ -468,294 +580,39 @@ def _lp_problem(spec: GameSpec, grid_size: int):
     return x, u, a_eq, b_eq, bounds, n
 
 
-def _lp_stage1(spec: GameSpec, grid_size: int):
+def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
+    """Optimal value of the commitment LP on the given atom grid, the
+    oracle that tests compare the exact solvers against."""
+    require_valid(spec)
     x, u, a_eq, b_eq, bounds, n = _lp_problem(spec, grid_size)
     cost = np.zeros(a_eq.shape[1])
     cost[:n] = -u
-    first = linprog(
+    res = linprog(
         cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
         method="highs", options=_LP_OPTS,
     )
-    if not first.success:
-        raise SolverError(f"commitment LP failed: {first.message}")
-    return -first.fun, x, u, a_eq, b_eq, bounds, n, first.x[:n]
-
-
-def _lp_two_stage(spec: GameSpec, grid_size: int):
-    value, x, u, a_eq, b_eq, bounds, n, g1 = _lp_stage1(spec, grid_size)
-    # second stage: stay on the optimal face, maximize the second moment
-    # so mass spreads into revelation wherever the payoff allows it
-    pin = np.zeros(a_eq.shape[1])
-    pin[:n] = u
-    a_eq2 = sparse.vstack([a_eq, sparse.csr_matrix(pin)])
-    b_eq2 = np.concatenate([b_eq, [value]])
-    cost = np.zeros(a_eq.shape[1])
-    cost[:n] = -(x**2)
-    second = linprog(
-        cost, A_eq=a_eq2, b_eq=b_eq2, bounds=bounds,
-        method="highs", options=_LP_OPTS,
-    )
-    weights = second.x[:n] if second.success else g1
-    weights = np.where(weights > 1e-8, weights, 0.0)
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise SolverError("LP mass drifted away from one")
-    weights = weights / total
-    return x, weights
-
-
-def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
-    """Optimal value of the commitment LP on the given atom grid."""
-    require_valid(spec)
-    return _lp_stage1(spec, grid_size)[0]
-
-
-def _recover_segments(
-    prior: Prior,
-    atoms: list[tuple[float, float]],
-    revealed: Optional[IntervalUnion],
-    *,
-    atom_spacing: float = 0.0,
-    tol: float = 1e-8,
-) -> Optional[list[Segment]]:
-    """Reconstruct the segment partition from integrated-cdf geometry.
-
-    Boundaries are the points where the distribution's integrated cdf
-    touches the prior's. Between consecutive atoms the gap is convex
-    with its minimum where the prior cdf crosses the flat level, so one
-    bisection per gap finds all candidates. atom_spacing widens the
-    touch tolerance to what a discretized revelation region produces at
-    that grid pitch, and runs of grid-pitch micro segments collapse back
-    into revealed segments.
-    """
-    atoms = sorted((x, p) for x, p in atoms if p > _NULL)
-    rev_pieces = list(revealed.pieces) if revealed is not None else []
-
-    markers: list[tuple[float, float, str]] = [(x, x, "atom") for x, _ in atoms]
-    markers += [(a, b, "revealed") for a, b in rev_pieces]
-    markers.sort()
-    for (a1, b1, _), (a2, b2, _) in zip(markers, markers[1:]):
-        if a2 < b1 - 1e-12:
-            return None  # atom inside a revealed region: not a segment structure
-
-    def g_level(x: float) -> float:
-        lvl = sum(p for loc, p in atoms if loc <= x + 1e-15)
-        for a, b in rev_pieces:
-            lvl += prior.cdf(min(b, x)) - prior.cdf(a) if x > a else 0.0
-        return lvl
-
-    def t_g(x: float) -> float:
-        total = sum(p * max(0.0, x - loc) for loc, p in atoms)
-        for a, b in rev_pieces:
-            if x <= a:
-                continue
-            hi = min(x, b)
-            total += (
-                prior.integrated_cdf(hi)
-                - prior.integrated_cdf(a)
-                - prior.cdf(a) * (hi - a)
-            )
-            if x > b:
-                total += (prior.cdf(b) - prior.cdf(a)) * (x - b)
-        return total
-
-    boundaries = {0.0, 1.0}
-    for a, b in rev_pieces:
-        boundaries.add(a)
-        boundaries.add(b)
-
-    gaps = []
-    prev_hi = 0.0
-    for a, b, _ in markers:
-        if a > prev_hi + 1e-15:
-            gaps.append((prev_hi, a))
-        prev_hi = max(prev_hi, b)
-    if prev_hi < 1.0 - 1e-15:
-        gaps.append((prev_hi, 1.0))
-
-    for lo, hi in gaps:
-        level = g_level(0.5 * (lo + hi))
-        res = lambda t: prior.cdf(t) - level
-        if res(lo) >= 0.0:
-            x_star = lo
-        elif res(hi) <= 0.0:
-            x_star = hi
-        else:
-            x_star = find_root(res, lo, hi)
-        slack = prior.integrated_cdf(x_star) - t_g(x_star)
-        allow = tol + prior.pdf(x_star) * (1.3 * atom_spacing) ** 2 / 2.0
-        if slack <= allow:
-            boundaries.add(x_star)
-
-    cuts = sorted(boundaries)
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > 1e-12:
-            merged.append(c)
-    if merged[-1] < 1.0:
-        merged.append(1.0)
-
-    revealed_union = IntervalUnion(tuple(rev_pieces)) if rev_pieces else IntervalUnion.empty()
-    assigned: dict[int, list[tuple[float, float]]] = {}
-    spans = list(zip(merged, merged[1:]))
-    for x, p in atoms:
-        k = next(
-            (i for i, (lo, hi) in enumerate(spans) if lo - 1e-12 <= x <= hi + 1e-12),
-            None,
-        )
-        if k is None:
-            return None
-        assigned.setdefault(k, []).append((x, p))
-    segments: list[Segment] = []
-    for k, (lo, hi) in enumerate(spans):
-        seg = interval(lo, hi)
-        if prior.mass(seg) <= 1e-11:
-            continue
-        inside = assigned.get(k, [])
-        if seg.subtract(revealed_union).length <= 1e-9:
-            segments.append(Segment(seg, "revealed", ()))
-        elif len(inside) == 1:
-            segments.append(Segment(seg, "pooling", (inside[0][0],)))
-        elif len(inside) == 2:
-            segments.append(
-                Segment(seg, "bipooling", (inside[0][0], inside[1][0]))
-            )
-        else:
-            return None
-
-    if atom_spacing > 0.0:
-        segments = _collapse_micro_runs(segments, 2.6 * atom_spacing)
-    return segments
-
-
-def _collapse_micro_runs(segments: list[Segment], width: float) -> list[Segment]:
-    """Grid-pitch pooling runs are discretized revelation; merge them."""
-    out: list[Segment] = []
-    run: list[Segment] = []
-
-    def flush() -> None:
-        nonlocal run
-        if len(run) >= 2:
-            out.append(
-                Segment(interval(run[0].outer.lo, run[-1].outer.hi), "revealed", ())
-            )
-        else:
-            out.extend(run)
-        run = []
-
-    for seg in segments:
-        tiny = (
-            seg.kind in ("pooling", "revealed")
-            and seg.outer.hi - seg.outer.lo <= width
-        )
-        if tiny:
-            run.append(seg)
-        else:
-            flush()
-            out.append(seg)
-    flush()
-    return out
-
-
-def _snap_means(spec: GameSpec, segments: list[Segment], snap: float) -> list[Segment]:
-    if snap <= 0.0:
-        return segments
-    out = []
-    for seg in segments:
-        if not seg.means:
-            out.append(seg)
-            continue
-        means = tuple(
-            next(
-                (c for c in spec.cutoffs[1:-1] if abs(c - m) <= snap),
-                m,
-            )
-            for m in seg.means
-        )
-        out.append(Segment(seg.outer, seg.kind, means))
-    return out
-
-
-def _lp_solution(spec: GameSpec, grid_size: int) -> BiPoolingSolution:
-    """Commitment optimum by linear programming on an atom grid, with
-    the segment structure read off the LP solution and realized
-    exactly. Raises SolverError when the structure cannot be read off
-    or the realized distribution fails its audit."""
-    x, weights = _lp_two_stage(spec, grid_size)
-    support = [(float(xi), float(w)) for xi, w in zip(x, weights) if w > 0.0]
-    spacing = 1.0 / (grid_size - 1)
-    segments = _recover_segments(
-        spec.prior, support, None, atom_spacing=spacing
-    )
-    if segments is not None:
-        try:
-            sol = _realize_segments(
-                spec, _snap_means(spec, segments, 2.6 * spacing)
-            )
-        except (SolverError, SpecError):  # e.g. a snapped segment with no mass
-            sol = None
-        if sol is not None and not sol.distribution.validate(spec.prior):
-            return sol
-    raise SolverError(
-        "segment recovery failed for the LP solution; refine the grid"
-    )
-
-
-def solve_lp(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> MeanDistribution:
-    """Commitment optimum by linear programming on an atom grid, for
-    any number of actions, as the exact distribution recovered from the
-    LP solution. Raises SolverError when recovery fails."""
-    require_valid(spec)
-    return _lp_solution(spec, grid_size).distribution
-
-
-def canonicalize(
-    spec: GameSpec, dist: MeanDistribution, *, atom_spacing: float = 0.0
-) -> DeterministicRepresentation:
-    """Canonical deterministic representation behind a mean distribution."""
-    require_valid(spec)
-    segments = _recover_segments(
-        spec.prior,
-        list(dist.atoms),
-        dist.revealed,
-        atom_spacing=atom_spacing,
-    )
-    if segments is None:
-        raise SolverError(
-            "segment recovery failed; re-solve on a finer grid or pass a "
-            "structured distribution"
-        )
-    sol = _realize_segments(
-        spec, _snap_means(spec, segments, max(2.6 * atom_spacing, 1e-9))
-    )
-    return sol.canonical
+    if not res.success:
+        raise SolverError(f"commitment LP failed: {res.message}")
+    return -res.fun
 
 
 def commitment_solution(
     spec: GameSpec, grid_size: int = DEFAULT_GRID
 ) -> BiPoolingSolution:
-    """Dispatch to the exact structural solver when available.
+    """Exact commitment optimum for any number of actions.
 
-    Two and three action games solve in closed form and ignore
-    grid_size; larger games go through the LP and segment recovery.
+    Two and three action games solve in closed form, larger ones by
+    ``_solve_cells``. grid_size is accepted for callers that still pass
+    it and ignored.
     """
     require_valid(spec)
     if spec.n_actions == 2:
         return solve_two_action(spec)
     if spec.n_actions == 3:
         return solve_three_action(spec)
-    return _lp_solution(spec, grid_size)
+    return _solve_cells(spec)
 
 
 def commitment_payoff(spec: GameSpec) -> float:
     """Best sender payoff over all mean-preserving contractions."""
-    require_valid(spec)
-    if spec.n_actions <= 3:
-        return commitment_solution(spec).payoff
-    coarse = lp_value(spec, 481)
-    fine = lp_value(spec, 961)
-    if abs(fine - coarse) > 1e-3:
-        raise SolverError(
-            f"LP grid refinement unstable: {coarse:.12g} vs {fine:.12g}"
-        )
-    return fine
+    return commitment_solution(spec).payoff

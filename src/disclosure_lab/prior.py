@@ -11,7 +11,7 @@ the package.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -266,6 +266,27 @@ class Prior:
             + self.density[i] * s * s / 2.0
             + slope * s**3 / 6.0
         )
+
+    def quantile(self, s: float) -> float:
+        """Least x with cdf(x) = s, for s in [0, 1].
+
+        Inverts the quadratic cdf of one linear piece in closed form, so a
+        zero-density stretch maps to its left end.
+        """
+        cf = self._cums[0]
+        s = min(max(s, 0.0), cf[-1])
+        i = max(bisect_left(cf, s) - 1, 0)
+        a, b = self.knots[i], self.knots[i + 1]
+        r = s - cf[i]
+        if r <= 0.0:
+            return a
+        if s >= cf[i + 1]:
+            return b
+        d = self.density[i]
+        slope = (self.density[i + 1] - d) / (b - a)
+        # root of d t + slope t^2 / 2 = r, in the form that does not cancel
+        t = 2.0 * r / (d + (max(d * d + 2.0 * slope * r, 0.0)) ** 0.5)
+        return min(a + t, b)
 
     @cached_property
     def mean(self) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disclosure_lab import GameSpec, uniform_prior
+from disclosure_lab import GameSpec, plinear_prior, uniform_prior
 
 
 @pytest.fixture
@@ -32,3 +32,22 @@ def random_three_action(rng: np.random.Generator) -> GameSpec:
     v1 = float(rng.uniform(0.5, 2.0))
     v2 = v1 * float(rng.uniform(1.1, 4.0))
     return GameSpec(uniform_prior(), (0.0, g1, g2, 1.0), (0.0, v1, v2))
+
+
+def random_many_action(rng: np.random.Generator) -> GameSpec:
+    """Four to six actions on a uniform or a two- to four-knot plinear
+    prior, with every cutoff cell at least 0.04 wide and value steps
+    between 0.3 and 1.5."""
+    n = int(rng.integers(4, 7))
+    while True:
+        cuts = np.sort(rng.uniform(0.0, 1.0, size=n - 1))
+        if np.diff(np.concatenate([[0.0], cuts, [1.0]])).min() >= 0.04:
+            break
+    if rng.uniform() < 0.5:
+        prior = uniform_prior()
+    else:
+        inner = np.sort(rng.uniform(0.1, 0.9, size=int(rng.integers(0, 3))))
+        knots = (0.0, *inner.tolist(), 1.0)
+        prior = plinear_prior(knots, rng.uniform(0.3, 2.0, size=len(knots)).tolist())
+    values = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.5, size=n - 1))])
+    return GameSpec(prior, (0.0, *cuts.tolist(), 1.0), tuple(values.tolist()))

@@ -19,6 +19,7 @@ from disclosure_lab import (
     check_c3i,
     check_nam,
     check_prudence,
+    commitment_solution,
     dominance_gap,
     feasible_bipool,
     implementable,
@@ -30,7 +31,6 @@ from disclosure_lab import (
     plinear_prior,
     preferred_ore,
     seller_to_game,
-    solve_lp,
     solve_three_action,
     solve_two_action,
     uniform_prior,
@@ -125,13 +125,12 @@ def test_criterion_5_every_emitted_distribution_is_feasible(
     emitted = []
     for spec in (gk2016, exs, exy):
         emitted.append((spec.prior, solve_three_action(spec).distribution))
-        emitted.append((spec.prior, solve_lp(spec, grid_size=481)))
     two = GameSpec(uniform_prior(), (0.0, 0.75, 1.0), (0.0, 1.0))
     emitted.append((two.prior, solve_two_action(two).distribution))
     four = GameSpec(
         uniform_prior(), (0.0, 0.2, 0.45, 0.7, 1.0), (0.0, 0.3, 0.8, 1.4)
     )
-    emitted.append((four.prior, solve_lp(four, grid_size=481)))
+    emitted.append((four.prior, commitment_solution(four).distribution))
     rng = np.random.default_rng(55)
     for _ in range(20):
         spec = random_three_action(rng)

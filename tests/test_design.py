@@ -5,27 +5,29 @@ from numpy.testing import assert_allclose
 from disclosure_lab import (
     GameSpec,
     MeanDistribution,
-    SolverError,
+    SellerModel,
     SpecError,
-    canonicalize,
     check_prop2,
     commitment_payoff,
     commitment_solution,
     dominance_gap,
+    implementable,
     interval,
+    is_incentive_compatible,
     is_laminar,
     is_obedient,
     lp_value,
     plinear_prior,
-    solve_lp,
+    seller_to_game,
     solve_three_action,
     solve_two_action,
     uniform_prior,
     value_at,
 )
+from disclosure_lab.design import _solve_cells
 from disclosure_lab.prior import find_root
 
-from conftest import random_three_action
+from conftest import random_many_action, random_three_action
 
 
 def atom_locations(dist):
@@ -237,52 +239,6 @@ def test_lp_grid_refinement_is_monotone(gk2016, exy):
         assert lp_value(spec, 961) >= lp_value(spec, 481) - 1e-9
 
 
-def test_solve_lp_recovers_the_structural_solution(gk2016):
-    """The LP route parks the worthless low mass as a revealed
-    interval rather than an atom, so only the cutoff atoms remain."""
-    dist = solve_lp(gk2016, grid_size=481)
-    assert dist.expected_value(gk2016) == pytest.approx(
-        100.0 / 48.0, abs=1e-6
-    )
-    assert dist.validate(gk2016.prior) == []
-    assert dominance_gap(gk2016.prior, dist) <= 1e-8
-    locs = atom_locations(dist)
-    assert_allclose(locs, [1.0 / 3.0, 2.0 / 3.0], atol=1e-6)
-    assert dist.revealed is not None
-    assert dist.revealed.hi == pytest.approx(1.0 / 6.0, abs=1e-3)
-
-
-def test_solve_lp_raises_when_recovery_fails():
-    """solve_lp and commitment_solution share one LP path, so a game
-    whose segment structure cannot be read off the LP solution raises
-    instead of coming back as raw grid atoms."""
-    spec = GameSpec(
-        uniform_prior(), (0.0, 0.25, 0.78, 0.94, 1.0), (0.0, 1.3, 2.6, 3.9)
-    )
-    with pytest.raises(SolverError, match="segment recovery failed"):
-        solve_lp(spec)
-
-
-def test_canonicalize_structural_distribution(exy):
-    sol = solve_three_action(exy)
-    rep = canonicalize(exy, sol.distribution)
-    for got, want in zip(rep.cells, sol.canonical.cells):
-        assert_allclose(got.pieces, want.pieces, atol=1e-9)
-    assert is_obedient(exy, rep).ok
-    assert is_laminar(rep)
-
-
-def test_canonicalize_unstructured_atoms_raises(gk2016):
-    """Three atoms inside one slack-positive span have no two-pool
-    representation, so recovery refuses instead of guessing."""
-    dist = MeanDistribution(
-        ((0.2, 1.0 / 3.0), (0.5, 1.0 / 3.0), (0.8, 1.0 / 3.0))
-    )
-    assert dist.validate(gk2016.prior) == []
-    with pytest.raises(SolverError, match="finer grid"):
-        canonicalize(gk2016, dist)
-
-
 def test_four_action_full_pool_is_exact():
     """With the prior mean sitting on the top cutoff, pooling
     everything hits the maximum value, an exact upper bound."""
@@ -341,14 +297,12 @@ def test_commitment_payoff_dispatch(gk2016):
     spec = GameSpec(
         uniform_prior(), (0.0, 0.2, 0.45, 0.7, 1.0), (0.0, 0.3, 0.8, 1.4)
     )
-    assert commitment_payoff(spec) == pytest.approx(
-        lp_value(spec, 961), abs=1e-12
-    )
+    assert commitment_payoff(spec) == commitment_solution(spec).payoff
 
 
 def test_tiny_grid_rejected(gk2016):
     with pytest.raises(SpecError):
-        solve_lp(gk2016, grid_size=11)
+        lp_value(gk2016, 11)
 
 
 def test_structural_beats_all_single_pools(gk2016):
@@ -366,3 +320,122 @@ def test_structural_beats_all_single_pools(gk2016):
             revealed=interval(0.0, float(x)),
         )
         assert pooled.expected_value(gk2016) <= best + 1e-9
+
+
+def test_fault_game_pays_its_closed_form():
+    """Pool [0, 0.62] at 0.31 and bi-pool [0.62, 1] at the two top
+    cutoffs; the grid LP's segment recovery used to fail here."""
+    spec = GameSpec(
+        uniform_prior(), (0.0, 0.25, 0.78, 0.94, 1.0), (0.0, 1.3, 2.6, 3.9)
+    )
+    sol = commitment_solution(spec)
+    assert sol.payoff == pytest.approx(1.886625, abs=1e-9)
+    assert [s.kind for s in sol.segments] == ["pooling", "bipooling"]
+    assert sol.segments[0].outer.hi == pytest.approx(0.62, abs=1e-5)
+    assert sol.segments[1].means == (0.78, 0.94)
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+
+
+def test_seller_example_cells_land_on_closed_forms():
+    """The README seller game pools [0, 1/2], [1/2, 1/sqrt 2],
+    [1/sqrt 2, sqrt 3/2] and [sqrt 3/2, 1] exactly at their cutoffs."""
+    spec = seller_to_game(
+        SellerModel(utility={"kind": "crra", "sigma": 0.5}, price=0.25)
+    )
+    sol = commitment_solution(spec)
+    want = (7.0 - np.sqrt(2.0) - np.sqrt(3.0)) / 8.0
+    assert sol.payoff == pytest.approx(want, abs=1e-11)
+    ends = [s.outer.hi for s in sol.segments]
+    assert_allclose(ends, [0.5, 1 / np.sqrt(2.0), np.sqrt(3.0) / 2.0, 1.0], atol=1e-10)
+
+
+def test_implementable_agrees_with_incentive_compatibility():
+    """A pinned game whose commitment outcome is not an equilibrium; a
+    revealed sliver inside a skipped action's cell made the LP route
+    answer true here."""
+    prior = plinear_prior((0.0, 0.546, 1.0), (0.748, 0.971, 1.368))
+    spec = GameSpec(
+        prior,
+        (0.0, 0.12, 0.386, 0.654, 0.771, 0.854, 1.0),
+        (0.0, 0.89, 1.69, 2.25, 3.21, 4.16),
+    )
+    report = implementable(spec)
+    assert not is_incentive_compatible(spec, report.canonical).ok
+    assert not report.implementable
+
+
+@pytest.mark.parametrize(
+    "knots, density, cutoffs, values",
+    [
+        ((0.0, 0.283, 0.529, 0.556, 0.728, 1.0), (7.07, 0, 0, 0, 0, 0),
+         (0.0, 0.63, 0.9, 1.0), (0.0, 1.0, 1.83)),
+        ((0.0, 0.5, 0.6, 1.0), (1, 1, 0, 0), (0.0, 0.7, 1.0), (0.0, 1.0)),
+    ],
+)
+def test_no_prior_mass_above_the_cutoffs(knots, density, cutoffs, values):
+    """No posterior mean can reach a cutoff above the prior's support,
+    so the sender gets nothing and nothing is pooled away; the empty top
+    tail used to raise."""
+    spec = GameSpec(plinear_prior(knots, density), cutoffs, values)
+    assert commitment_solution(spec).payoff == pytest.approx(0.0, abs=1e-12)
+    report = implementable(spec)
+    assert report.commitment_payoff == pytest.approx(0.0, abs=1e-12)
+    assert report.implementable
+    assert is_incentive_compatible(spec, report.canonical).ok
+
+
+def test_three_actions_with_an_empty_top_tail():
+    spec = GameSpec(
+        plinear_prior((0.0, 0.5, 0.6, 1.0), (1, 1, 0, 0)),
+        (0.0, 0.3, 0.8, 1.0),
+        (0.0, 1.0, 2.0),
+    )
+    sol = commitment_solution(spec)
+    assert sol.payoff == pytest.approx(lp_value(spec, 961), abs=1e-6)
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+    # the top pool stops at 0.6, where the prior's mass does, so it does
+    # not reach past the unreached cutoff 0.8
+    assert sol.canonical.cells[1].hi == pytest.approx(0.6, abs=1e-12)
+    assert implementable(spec).implementable
+
+
+def test_many_action_games_match_the_lp_oracle():
+    """Seeded 4-6 action games: the exact solver never fails, lands
+    within the grid LP's discretisation error of its value, and emits
+    feasible, obedient, laminar designs whose Prop 2 verdict is the
+    incentive-compatibility verdict."""
+    rng = np.random.default_rng(2021)
+    for _ in range(12):
+        spec = random_many_action(rng)
+        sol = commitment_solution(spec)
+        lp = lp_value(spec, 961)
+        assert lp - 2e-6 <= sol.payoff <= lp + 1e-6
+        assert sol.distribution.validate(spec.prior) == []
+        assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+        assert is_obedient(spec, sol.canonical).ok
+        assert is_laminar(sol.canonical)
+        assert (
+            check_prop2(spec, sol.canonical).ok
+            == is_incentive_compatible(spec, sol.canonical).ok
+        )
+
+
+def test_cell_solver_matches_the_closed_forms():
+    """The one-atom-per-cell program against the independent two- and
+    three-action closed forms, on uniform and plinear priors."""
+    rng = np.random.default_rng(23)
+    priors = (uniform_prior(), plinear_prior((0.0, 0.3, 1.0), (1.4, 0.3, 1.1)))
+    for _ in range(6):
+        base = random_three_action(rng)
+        g1, v1 = base.cutoffs[1], base.values[1]
+        for prior in priors:
+            three = GameSpec(prior, base.cutoffs, base.values)
+            two = GameSpec(prior, (0.0, g1, 1.0), (0.0, v1))
+            assert _solve_cells(three).payoff == pytest.approx(
+                solve_three_action(three).payoff, abs=1e-8
+            )
+            assert _solve_cells(two).payoff == pytest.approx(
+                solve_two_action(two).payoff, abs=1e-8
+            )

@@ -173,6 +173,27 @@ def test_partial_mean_zero_mass_raises():
         u.partial_mean(interval(0.5, 0.5))
 
 
+def test_quantile_inverts_the_cdf():
+    """Round trips on increasing, decreasing and zero-touching pieces; a
+    zero-density stretch maps to its left end, and so do s = 0 and,
+    with an empty tail, s = 1."""
+    gapped = plinear_prior((0.0, 0.3, 0.4, 0.6, 0.8, 1.0), (0.0, 2.0, 0.0, 0.0, 1.5, 0.0))
+    for prior in (uniform_prior(), plinear_prior((0.0, 0.4, 1.0), (2.0, 0.5, 1.5)), gapped):
+        for x in np.linspace(0.0, 1.0, 41):
+            got = prior.quantile(prior.cdf(x))
+            assert prior.cdf(got) == pytest.approx(prior.cdf(x), abs=1e-13)
+            if prior.pdf(x) > 0.05:  # the inverse is ill-conditioned where f -> 0
+                assert got == pytest.approx(x, abs=1e-12)
+        assert prior.quantile(0.0) == 0.0
+    assert uniform_prior().quantile(1.0) == 1.0
+    assert gapped.quantile(gapped.cdf(0.5)) == pytest.approx(0.4, abs=1e-15)
+    tail = plinear_prior((0.0, 0.5, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0))
+    assert tail.quantile(1.0) == pytest.approx(0.6, abs=1e-15)
+    head = plinear_prior((0.0, 0.2, 1.0), (0.0, 0.0, 1.0))
+    assert head.quantile(0.0) == 0.0
+    assert head.quantile(1e-9) > 0.2
+
+
 def test_solve_h_uniform_goldens():
     """The residual stop at 1e-10 pins the argument to about 2e-10
     for a uniform prior, so the assertions allow 1e-9."""
