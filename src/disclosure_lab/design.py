@@ -28,7 +28,7 @@ from .game import (
     require_valid,
     value_at,
 )
-from .prior import IntervalUnion, Prior, SolverError, SpecError, find_root, interval
+from .prior import IntervalUnion, SolverError, SpecError, find_root, interval, solve_h
 from .representation import DeterministicRepresentation, nested_interval_rep
 
 _NULL = 1e-12
@@ -110,19 +110,14 @@ def _realize_segments(
             loc = _snap_loc(spec, prior.partial_mean(region), target)
             if action_at(spec, loc) < want:
                 # recomputed mean slipped below the annotated cutoff; pin
-                # the pool to the cutoff and reveal the leftover sliver
+                # the pool to the cutoff and reveal the leftover sliver.
+                # The region is one interval with mean below cut, so the
+                # upper window with mean cut starts inside it.
                 cut = spec.cutoffs[want]
                 lo, hi = region.lo, region.hi
-
-                def res(t: float) -> float:
-                    piece = region.intersect(interval(t, hi))
-                    if prior.mass(piece) <= 1e-13:
-                        return hi - cut
-                    return prior.partial_mean(piece) - cut
-
-                x = find_root(res, lo, hi)
-                reveal(region.intersect(interval(lo, x)))
-                region = region.intersect(interval(x, hi))
+                x = solve_h(prior, cut, hi)
+                reveal(interval(lo, x))
+                region = interval(x, hi)
                 loc = _snap_loc(spec, prior.partial_mean(region), cut)
             m = prior.mass(region)
             atoms.append((loc, m))
@@ -177,24 +172,6 @@ def _realize_segments(
     )
 
 
-def _upper_mean_root(prior: Prior, target: float) -> float:
-    """x with E[state | state >= x] = target; needs prior mean <= target.
-
-    A tail [x, 1] without prior mass reads as mean x, which keeps the
-    residual continuous and increasing where the prior ends early.
-    """
-
-    def residual(x: float) -> float:
-        tail = interval(x, 1.0)
-        if prior.mass(tail) <= 1e-14:
-            return x - target
-        return prior.partial_mean(tail) - target
-
-    if residual(0.0) >= 0.0:
-        return 0.0
-    return find_root(residual, 0.0, target)
-
-
 def solve_two_action(spec: GameSpec) -> BiPoolingSolution:
     require_valid(spec)
     if spec.n_actions != 2:
@@ -205,7 +182,7 @@ def solve_two_action(spec: GameSpec) -> BiPoolingSolution:
         return _realize_segments(
             spec, [Segment(interval(0.0, 1.0), "pooling", (prior.mean,))]
         )
-    x = _upper_mean_root(prior, g1)
+    x = solve_h(prior, g1, 1.0)
     segs = []
     if x > _NULL:
         segs.append(Segment(interval(0.0, x), "revealed", ()))
@@ -227,7 +204,7 @@ def _three_action_candidates(spec: GameSpec):
     yield "full-pool", [Segment(interval(0.0, 1.0), "pooling", (mu,))]
 
     if mu <= g2:
-        x_hi = _upper_mean_root(prior, g2)
+        x_hi = solve_h(prior, g2, 1.0)
         if x_hi > _NULL:
             # reveal below, pool the top to exactly g2
             yield "top-pool", [
@@ -244,7 +221,7 @@ def _three_action_candidates(spec: GameSpec):
         x_hi = None
 
     if mu <= g1:
-        x_lo = _upper_mean_root(prior, g1)
+        x_lo = solve_h(prior, g1, 1.0)
         if x_lo > _NULL:
             yield "skip-top", [
                 Segment(interval(0.0, x_lo), "revealed", ()),
@@ -284,9 +261,7 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     if x_hi is None or mu > g2:
         return None
     if mu > g1:
-        b_cap = find_root(
-            lambda b: prior.partial_mean(interval(0.0, b)) - g1, g1, 1.0
-        )
+        b_cap = find_root(lambda b: prior.window_mean(0.0, b, b) - g1, g1, 1.0)
     else:
         b_cap = 1.0
     b_lo = max(g1, x_hi)
@@ -299,19 +274,10 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     def solve_y(b: float) -> Optional[float]:
         # Residuals use F and M directly, not IntervalUnion and
         # partial_mean: this is the hot loop of the three-action solver.
-        low_mean = prior.partial_mean(interval(0.0, b))
-        if low_mean > g1 + 1e-13:
+        if prior.window_mean(0.0, b, b) > g1 + 1e-13:
             return None
-        Fb, Mb = F(b), M(b)
-
-        def h_res(t: float) -> float:
-            mass = Fb - F(t)
-            if mass <= 1e-13:
-                return 0.5 * (t + b) - g1
-            return (Mb - M(t)) / mass - g1
-
-        h = find_root(h_res, 0.0, min(g1, b)) if low_mean < g1 else 0.0
-        Fh, Mh = F(h), M(h)
+        h = solve_h(prior, g1, b)
+        Fb, Mb, Fh, Mh = F(b), M(b), F(h), M(h)
 
         # the top cell [y, h] + [b, 1] loses mass as y grows, so the guard
         # at y = h bounds every denominator of y_res
@@ -611,8 +577,3 @@ def commitment_solution(
     if spec.n_actions == 3:
         return solve_three_action(spec)
     return _solve_cells(spec)
-
-
-def commitment_payoff(spec: GameSpec) -> float:
-    """Best sender payoff over all mean-preserving contractions."""
-    return commitment_solution(spec).payoff

@@ -7,6 +7,12 @@ subintervals of [0, 1]. All moments have closed forms per linear piece,
 so the only iterative numerics in this module is ``find_root``, one
 bracketed Brent root finder shared by every mean and mass equation in
 the package.
+
+Zero-density stretches are allowed, so a window can carry no prior
+mass. ``Prior.window_mean`` gives such a window the mean of its free
+end, the endpoint a mean equation moves; every mean residual then
+stays continuous and increasing across the stretch. ``solve_h``, the
+one solver of E[state | state in [h, hi]] = target, is built on it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ class ZeroMassError(SpecError):
 
 
 _EDGE_TOL = 1e-12
+# A region with at most this much prior mass has no conditional mean.
+_NULL_MASS = 1e-14
 
 
 def _clip01(x: float, tol: float = _EDGE_TOL) -> float:
@@ -232,24 +240,30 @@ class Prior:
             (x - a) / (b - a)
         )
 
+    # cdf and first_moment are the inner loop of every mean equation, so
+    # they find their piece inline rather than through _clip01 and _piece.
     def cdf(self, x: float) -> float:
-        x = _clip01(x)
-        i = self._piece(x)
-        a, b = self.knots[i], self.knots[i + 1]
+        if not 0.0 <= x <= 1.0:
+            x = _clip01(x)
+        knots, dens = self.knots, self.density
+        i = min(bisect_right(knots, x), len(knots) - 1) - 1
+        a = knots[i]
         s = x - a
-        slope = (self.density[i + 1] - self.density[i]) / (b - a)
-        return self._cums[0][i] + self.density[i] * s + slope * s * s / 2.0
+        slope = (dens[i + 1] - dens[i]) / (knots[i + 1] - a)
+        return self._cums[0][i] + dens[i] * s + slope * s * s / 2.0
 
     def first_moment(self, x: float) -> float:
         """Integral of t * f(t) from 0 to x."""
-        x = _clip01(x)
-        i = self._piece(x)
-        a, b = self.knots[i], self.knots[i + 1]
+        if not 0.0 <= x <= 1.0:
+            x = _clip01(x)
+        knots, dens = self.knots, self.density
+        i = min(bisect_right(knots, x), len(knots) - 1) - 1
+        a = knots[i]
         s = x - a
-        slope = (self.density[i + 1] - self.density[i]) / (b - a)
+        slope = (dens[i + 1] - dens[i]) / (knots[i + 1] - a)
         return (
             self._cums[1][i]
-            + self.density[i] * (a * s + s * s / 2.0)
+            + dens[i] * (a * s + s * s / 2.0)
             + slope * (a * s * s / 2.0 + s**3 / 3.0)
         )
 
@@ -298,10 +312,24 @@ class Prior:
     def partial_mean(self, region: IntervalUnion) -> float:
         """Conditional expectation of the state given the region."""
         m = self.mass(region)
-        if m <= 1e-14:
+        if m <= _NULL_MASS:
             raise ZeroMassError(f"region {region.pieces!r} carries no prior mass")
         num = sum(self.first_moment(b) - self.first_moment(a) for a, b in region.pieces)
         return num / m
+
+    def window_mean(self, a: float, b: float, empty: float) -> float:
+        """Conditional expectation of the state on [a, b], or empty when
+        the window carries no prior mass.
+
+        Callers pass the window's free end as empty: as the free end
+        closes in on the prior's last mass, the mean tends to that end,
+        so a residual in it stays continuous and increasing across
+        zero-density stretches.
+        """
+        m = self.cdf(b) - self.cdf(a)
+        if m <= _NULL_MASS:
+            return empty
+        return (self.first_moment(b) - self.first_moment(a)) / m
 
     def to_obj(self) -> dict:
         if self.kind == "uniform":
@@ -368,80 +396,20 @@ def find_root(
     return root
 
 
-def solve_mean_equation(
-    prior: Prior,
-    family: Callable[[float], IntervalUnion],
-    target: float,
-    bracket: tuple[float, float],
-    *,
-    max_iter: int = 200,
-    residual_tol: float = 1e-10,
-    param_tol: float = 1e-12,
-) -> float:
-    """Solve partial_mean(family(t)) = target for t with ``find_root``.
+def solve_h(prior: Prior, target: float, hi: float) -> float:
+    """Lower end h of the window [h, hi] whose conditional mean is target.
 
-    The residual must be weakly monotone across the bracket; a coarse
-    pre-scan rejects non-monotone families and endpoints with the same
-    strict sign raise a no-bracket error.
+    With h as the free end of ``Prior.window_mean``, the mean rises in h
+    from that of [0, hi] to hi, so one ``find_root`` call finds h
+    whenever target <= hi. When the mean of [0, hi] already reaches
+    target, h is 0.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not a < b:
-        # A collapsed bracket is fine when it already solves the equation.
-        if abs(prior.partial_mean(family(a)) - target) <= residual_tol:
-            return a
-        raise SolverError(f"degenerate bracket ({a}, {b})")
+    if not (0.0 <= target <= hi <= 1.0):
+        raise SpecError(f"need 0 <= target <= hi <= 1, got ({target}, {hi})")
 
-    def res(t: float) -> float:
-        return prior.partial_mean(family(t)) - target
+    def residual(h: float) -> float:
+        return prior.window_mean(h, hi, h) - target
 
-    ra, rb = res(a), res(b)
-    if abs(ra) <= residual_tol:
-        return a
-    if abs(rb) <= residual_tol:
-        return b
-    if (ra > 0) == (rb > 0):
-        raise SolverError(
-            f"no bracket: residual has the same sign at both endpoints "
-            f"({ra:.3e} and {rb:.3e})"
-        )
-    direction = 1.0 if rb > ra else -1.0
-    scan = [a + (b - a) * j / 16.0 for j in range(17)]
-    values = [ra] + [res(t) for t in scan[1:-1]] + [rb]
-    wiggle = 1e-9 * max(1.0, abs(ra), abs(rb))
-    for lo, hi in zip(values, values[1:]):
-        if direction * (hi - lo) < -wiggle:
-            raise SolverError("mean equation is not monotone on the bracket")
-
-    return find_root(res, a, b, iters=max_iter, xtol=param_tol)
-
-
-def solve_h(prior: Prior, gamma_lo: float, gamma_hi: float) -> float:
-    """Lower endpoint h with E[state | state in [h, gamma_hi]] = gamma_lo.
-
-    The conditional mean of [h, gamma_hi] increases in h, starting from
-    the mean of [0, gamma_hi]. When that starting value already exceeds
-    gamma_lo no interior root exists and the function returns 0.
-    """
-    if not (0.0 <= gamma_lo < gamma_hi <= 1.0):
-        raise SpecError(
-            f"need 0 <= gamma_lo < gamma_hi <= 1, got ({gamma_lo}, {gamma_hi})"
-        )
-    if prior.partial_mean(interval(0.0, gamma_hi)) > gamma_lo:
+    if residual(0.0) >= 0.0:
         return 0.0
-    return solve_mean_equation(
-        prior,
-        lambda h: interval(h, gamma_hi),
-        gamma_lo,
-        (0.0, gamma_lo),
-    )
-
-
-def simpson_integral(f: Callable[[float], float], a: float, b: float, n: int = 400) -> float:
-    """Composite Simpson rule, used by tests as an independent oracle."""
-    if n % 2:
-        n += 1
-    h = (b - a) / n
-    total = f(a) + f(b)
-    for k in range(1, n):
-        total += f(a + k * h) * (4 if k % 2 else 2)
-    return total * h / 3.0
+    return find_root(residual, 0.0, target)

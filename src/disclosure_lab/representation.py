@@ -172,11 +172,9 @@ class NestedPair:
         return self.outer.subtract(self.inner)
 
 
-def _window_mean(prior: Prior, outer: IntervalUnion, lo: float, hi: float, fallback: float) -> float:
-    piece = outer.intersect(interval(lo, hi))
-    if prior.mass(piece) <= 1e-14:
-        return fallback
-    return prior.partial_mean(piece)
+def _require_interval(outer: IntervalUnion) -> None:
+    if len(outer.pieces) != 1:
+        raise SpecError(f"outer region {outer.pieces!r} is not one interval")
 
 
 def nested_interval_rep(
@@ -194,7 +192,9 @@ def nested_interval_rep(
     mass(inner) = mass(outer) * (z_hi - m) / (z_hi - z_lo) with m the
     outer mean, which reduces the problem to one ``find_root`` search over
     the window's left endpoint (window width then follows from its mass).
+    outer must be one interval.
     """
+    _require_interval(outer)
     total = prior.mass(outer)
     if total <= _NULL_MASS:
         raise SpecError("outer region carries no prior mass")
@@ -231,7 +231,7 @@ def nested_interval_rep(
     )
 
     def residual(p: float) -> float:
-        return _window_mean(prior, outer, p, window_hi(p), p) - z_lo
+        return prior.window_mean(p, window_hi(p), p) - z_lo
 
     r_lo, r_hi = residual(lo), residual(p_max)
     if r_lo > atol or r_hi < -atol:
@@ -272,8 +272,9 @@ def feasible_bipool(
 
     Two conditions: the targets must straddle the outer mean inside the
     outer bounds, and the top part left after carving the lowest states
-    with mean z_lo must still reach z_hi.
+    with mean z_lo must still reach z_hi. outer must be one interval.
     """
+    _require_interval(outer)
     total = prior.mass(outer)
     if total <= _NULL_MASS:
         return False
@@ -285,7 +286,7 @@ def feasible_bipool(
         return True
 
     def low_mean(y: float) -> float:
-        return _window_mean(prior, outer, lo, y, lo)
+        return prior.window_mean(lo, y, y)
 
     if low_mean(lo) - z_lo >= 0.0:
         y = lo

@@ -51,3 +51,19 @@ def random_many_action(rng: np.random.Generator) -> GameSpec:
         prior = plinear_prior(knots, rng.uniform(0.3, 2.0, size=len(knots)).tolist())
     values = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.5, size=n - 1))])
     return GameSpec(prior, (0.0, *cuts.tolist(), 1.0), tuple(values.tolist()))
+
+
+def random_gapped_game(rng: np.random.Generator) -> GameSpec:
+    """Three actions on a four- to eight-knot plinear prior whose knot
+    densities are each 0 with probability 2/3, so the prior has
+    zero-density stretches and may start or end early; cutoffs and
+    values are drawn as in random_three_action."""
+    k = int(rng.integers(4, 9))
+    knots = (0.0, *np.sort(rng.uniform(0.0, 1.0, size=k - 2)).tolist(), 1.0)
+    while True:
+        zero = rng.uniform(size=k) < 2.0 / 3.0
+        density = np.where(zero, 0.0, rng.uniform(0.1, 2.0, size=k))
+        if density.any():
+            break
+    game = random_three_action(rng)
+    return GameSpec(plinear_prior(knots, density.tolist()), game.cutoffs, game.values)

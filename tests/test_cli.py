@@ -1,6 +1,7 @@
 import csv
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,33 @@ def fixture_path(name):
 GK = fixture_path("gk2016.json")
 EXS = fixture_path("exs.json")
 EXY = fixture_path("exy.json")
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SELLER = '{"utility":{"kind":"crra","sigma":0.5},"price":0.25}'
+VOTER = json.dumps(
+    {
+        "voters": [
+            {"alpha_ab": -0.6, "alpha_b": -1.5, "beta_ab": 1.0, "beta_b": 2.0}
+        ],
+        "v_ab": 1.0,
+        "v_b": 1.05,
+    }
+)
+
+# stdout of each run, saved under tests/golden/<name>.json
+GOLDEN_RUNS = {
+    f"{verb}-{game}": (verb, str(SPECS / f"{game}.json"))
+    for verb in ("solve", "implementable", "suffcond", "preferred",
+                 "payoff-set", "baselines")
+    for game in ("gk2016", "exs", "exy")
+}
+GOLDEN_RUNS.update({
+    "ore-at-exy": ("ore-at", str(SPECS / "exy.json"), "--target", "0.6"),
+    "app-seller-implementable": ("app-seller", SELLER, "--then", "implementable"),
+    "app-voting-sweep": ("app-voting", VOTER, "--sweep", "0,0.03,0.06,0.09,0.12"),
+    "app-voting-preferred": ("app-voting", VOTER, "--then", "preferred"),
+})
 
 
 def test_solve_fixture(capsys):
@@ -68,6 +96,25 @@ def test_suffcond_c3i_null_off_three_actions(capsys):
     code, out, _ = run(capsys, "suffcond", spec)
     assert code == 0
     assert json.loads(out)["c3i"] is None
+
+
+def test_suffcond_on_a_prior_that_ends_early(capsys):
+    """All prior mass sits below 0.283, so the NAM window [h, 0.9] is
+    empty for every h past it; the condition fails instead of raising."""
+    spec = json.dumps(
+        {
+            "prior": {
+                "kind": "plinear",
+                "knots": [0.0, 0.283, 0.529, 0.556, 0.728, 1.0],
+                "density": [7.07, 0.0, 0.0, 0.0, 0.0, 0.0],
+            },
+            "cutoffs": [0.0, 0.63, 0.9, 1.0],
+            "values": [0.0, 1.0, 1.83],
+        }
+    )
+    code, out, _ = run(capsys, "suffcond", spec)
+    assert code == 0
+    assert json.loads(out)["nam"] == [False]
 
 
 def test_preferred_round_trips_representation(capsys):
@@ -149,6 +196,13 @@ def test_output_is_byte_deterministic(capsys):
     _, first, _ = run(capsys, "solve", EXY)
     _, second, _ = run(capsys, "solve", EXY)
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_floats_use_short_repr(capsys):

@@ -8,7 +8,6 @@ from disclosure_lab import (
     SellerModel,
     SpecError,
     check_prop2,
-    commitment_payoff,
     commitment_solution,
     dominance_gap,
     implementable,
@@ -291,13 +290,13 @@ def test_lp_vs_structural_on_random_specs():
 
 
 def test_commitment_payoff_dispatch(gk2016):
-    assert commitment_payoff(gk2016) == pytest.approx(
+    assert commitment_solution(gk2016).payoff == pytest.approx(
         solve_three_action(gk2016).payoff, abs=1e-12
     )
     spec = GameSpec(
         uniform_prior(), (0.0, 0.2, 0.45, 0.7, 1.0), (0.0, 0.3, 0.8, 1.4)
     )
-    assert commitment_payoff(spec) == commitment_solution(spec).payoff
+    assert commitment_solution(spec).payoff == _solve_cells(spec).payoff
 
 
 def test_tiny_grid_rejected(gk2016):

@@ -10,8 +10,12 @@ from disclosure_lab import (
     check_c3i,
     check_cni,
     check_nam,
+    commitment_solution,
+    dominance_gap,
     implementable,
+    is_incentive_compatible,
     is_laminar,
+    lp_value,
     ore_at_payoff,
     payoff_bounds,
     preferred_ore,
@@ -21,7 +25,7 @@ from disclosure_lab import (
     verify_ore,
 )
 
-from conftest import random_three_action
+from conftest import random_gapped_game, random_three_action
 
 EXS_PREFERRED = 1.02 - 1.1 * (1.8 - math.sqrt(2.6)) / 2.0
 EXY_Y = (1.4 - math.sqrt(0.52)) / 2.0
@@ -207,3 +211,23 @@ def test_unraveling_matches_lower_bound(gk2016, exs, exy):
         assert payoff_bounds(spec)[0] == pytest.approx(
             unraveling_payoff(spec), abs=1e-12
         )
+
+
+def test_gapped_priors_solve_and_agree_with_ic():
+    """Zero-density stretches, also at either end of [0, 1], leave every
+    mean equation solvable: no verb raises, the commitment solution is
+    feasible and below the LP bound, and the implementability verdict
+    matches incentive compatibility of the canonical cells."""
+    rng = np.random.default_rng(300)
+    for k in range(300):
+        spec = random_gapped_game(rng)
+        sol = commitment_solution(spec)
+        assert sol.distribution.validate(spec.prior) == []
+        assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+        assert len(check_nam(spec)) == 1
+        report = implementable(spec)
+        ic = is_incentive_compatible(spec, report.canonical)
+        assert report.implementable == ic.ok
+        preferred_ore(spec)
+        if k % 10 == 0:
+            assert sol.payoff <= lp_value(spec) + 1e-9

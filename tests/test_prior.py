@@ -13,10 +13,20 @@ from disclosure_lab import (
     interval,
     plinear_prior,
     solve_h,
-    solve_mean_equation,
     uniform_prior,
 )
-from disclosure_lab.prior import find_root, simpson_integral
+from disclosure_lab.prior import find_root
+
+
+def simpson_integral(f, a, b, n=400):
+    """Composite Simpson rule, an oracle independent of the closed forms."""
+    if n % 2:
+        n += 1
+    h = (b - a) / n
+    total = f(a) + f(b)
+    for k in range(1, n):
+        total += f(a + k * h) * (4 if k % 2 else 2)
+    return total * h / 3.0
 
 
 def test_interval_union_merges_overlaps():
@@ -195,12 +205,26 @@ def test_quantile_inverts_the_cdf():
 
 
 def test_solve_h_uniform_goldens():
-    """The residual stop at 1e-10 pins the argument to about 2e-10
-    for a uniform prior, so the assertions allow 1e-9."""
+    """On the uniform prior the mean of [h, hi] is (h + hi) / 2, so
+    h = 2 target - hi, clipped at 0; Brent stops at a 1e-15 bracket."""
     u = uniform_prior()
-    assert solve_h(u, 0.5, 0.9) == pytest.approx(0.1, abs=1e-9)
-    assert solve_h(u, 1.0 / 3.0, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-9)
-    assert solve_h(u, 0.6, 0.7) == pytest.approx(0.5, abs=1e-9)
+    assert solve_h(u, 0.5, 0.9) == pytest.approx(0.1, abs=1e-12)
+    assert solve_h(u, 1.0 / 3.0, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-12)
+    assert solve_h(u, 0.6, 0.7) == pytest.approx(0.5, abs=1e-12)
+    assert solve_h(u, 0.75, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert solve_h(u, 0.1, 0.3) == 0.0
+    assert solve_h(u, 0.9, 0.9) == 0.9
+
+
+def test_solve_mean_equation_simple_family():
+    """The family of windows [t, 1] on the uniform prior has mean 0.75
+    at t = 0.5, and the window found carries that mean."""
+    u = uniform_prior()
+    root = solve_h(u, 0.75, 1.0)
+    assert root == pytest.approx(0.5, abs=1e-9)
+    assert u.partial_mean(interval(root, 1.0)) == pytest.approx(
+        0.75, abs=1e-10
+    )
 
 
 def test_solve_h_matches_definition_on_plinear():
@@ -209,21 +233,26 @@ def test_solve_h_matches_definition_on_plinear():
     assert p.partial_mean(interval(h, 0.8)) == pytest.approx(0.55, abs=1e-9)
 
 
-def test_solve_mean_equation_simple_family():
-    u = uniform_prior()
-    root = solve_mean_equation(
-        u, lambda t: interval(t, 1.0), 0.75, (0.0, 0.75)
-    )
-    assert root == pytest.approx(0.5, abs=1e-9)
-    assert u.partial_mean(interval(root, 1.0)) == pytest.approx(
-        0.75, abs=1e-10
-    )
+def test_window_mean_reads_an_empty_window_as_given():
+    p = plinear_prior((0.0, 0.3, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0))
+    assert p.window_mean(0.1, 0.5, 0.5) == p.partial_mean(interval(0.1, 0.5))
+    assert p.window_mean(0.7, 0.9, 0.7) == 0.7
+    assert p.window_mean(0.4, 0.4, 0.4) == 0.4
+    with pytest.raises(ZeroMassError):
+        p.partial_mean(interval(0.7, 0.9))
 
 
-def test_solve_mean_equation_no_bracket():
-    u = uniform_prior()
-    with pytest.raises(SolverError):
-        solve_mean_equation(u, lambda t: interval(t, 1.0), 0.2, (0.5, 0.9))
+def test_solve_h_across_a_zero_density_stretch():
+    """All mass sits on [0, 0.283], so every window [h, 0.9] with h
+    past it is empty and reads as mean h: the root is the target."""
+    p = plinear_prior((0.0, 0.283, 0.529, 0.556, 0.728, 1.0),
+                      (7.07, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert solve_h(p, 0.63, 0.9) == pytest.approx(0.63, abs=1e-12)
+    h = solve_h(p, 0.2, 0.9)
+    assert h < 0.283
+    assert p.partial_mean(interval(h, 0.9)) == pytest.approx(0.2, abs=1e-12)
+    with pytest.raises(SpecError):
+        solve_h(p, 0.95, 0.9)
 
 
 def test_find_root_converges():
