@@ -14,7 +14,14 @@ from typing import Sequence
 
 from .equilibrium import preferred_ore
 from .game import GameSpec, validate
-from .prior import Prior, SpecError, uniform_prior
+from .prior import (
+    INPUT_SLACK,
+    SELLER_CUT_GAP,
+    TIE_MARGIN,
+    Prior,
+    SpecError,
+    uniform_prior,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,7 @@ class SellerModel:
             return [float(q) ** (1.0 - sigma) if q else 0.0 for q in range(q_max + 1)]
         if kind == "table":
             vals = [float(v) for v in self.utility["values"]]
-            if abs(vals[0]) > 1e-12:
+            if abs(vals[0]) > INPUT_SLACK:
                 raise SpecError("utility table must start at zero")
             return vals[: q_max + 1]
         raise SpecError(f"unknown utility kind {kind!r}")
@@ -71,7 +78,7 @@ def _marginal_utilities(model: SellerModel) -> list[float]:
         raise SpecError(f"unknown utility kind {kind!r}")
     if any(g <= 0.0 for g in gaps):
         raise SpecError("utility must be strictly increasing")
-    if any(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:])):
+    if any(b >= a - INPUT_SLACK for a, b in zip(gaps, gaps[1:])):
         raise SpecError("utility must be strictly concave")
     return gaps
 
@@ -94,14 +101,14 @@ def seller_to_game(model: SellerModel) -> GameSpec:
     if n == 0:
         raise SpecError("no unit is ever worth buying at this price")
     kept = thetas[:n]
-    if kept[-1] >= 1.0 - 1e-12:
+    if kept[-1] >= 1.0 - INPUT_SLACK:
         warnings.warn(
             "top quantity cutoff reaches the state bound; truncating",
             stacklevel=2,
         )
-        kept = [t for t in kept if t < 1.0 - 1e-12]
+        kept = [t for t in kept if t < 1.0 - INPUT_SLACK]
         n = len(kept)
-    if any(b <= a + 1e-15 for a, b in zip(kept, kept[1:])):
+    if any(b <= a + SELLER_CUT_GAP for a, b in zip(kept, kept[1:])):
         raise SpecError("quantity cutoffs must be strictly increasing")
     margin = model.price - model.cost
     cutoffs = (0.0, *kept, 1.0)
@@ -133,13 +140,8 @@ class PrudenceReport:
 
 
 def _crra_prudence(sigma: float) -> bool:
-    # A(x) = sigma / x and P(x) = (1 + sigma) / x, checked on a grid for
-    # uniformity with the tabulated route
-    for k in range(101):
-        x = 1.0 + 3.0 * k / 100
-        if (1.0 + sigma) / x <= 2.0 * sigma / x:
-            return False
-    return True
+    # A(x) = sigma / x and P(x) = (1 + sigma) / x; x cancels from P > 2 A
+    return 1.0 + sigma > 2.0 * sigma
 
 
 def _table_prudence(values: Sequence[float]) -> bool:
@@ -176,14 +178,14 @@ def check_prudence(model: SellerModel) -> PrudenceReport:
     else:
         raise SpecError(f"unknown utility kind {kind!r}")
     dens = model.prior.density
-    density_ok = all(b >= a - 1e-12 for a, b in zip(dens, dens[1:]))
+    density_ok = all(b >= a - INPUT_SLACK for a, b in zip(dens, dens[1:]))
     try:
         spec = seller_to_game(model)
     except SpecError:
         gap_chain_ok = False
     else:
         gaps = [b - a for a, b in zip(spec.cutoffs, spec.cutoffs[1:])]
-        gap_chain_ok = all(b < a - 1e-12 for a, b in zip(gaps, gaps[1:]))
+        gap_chain_ok = all(b < a - INPUT_SLACK for a, b in zip(gaps, gaps[1:]))
     return PrudenceReport(
         ok=prudent and density_ok,
         prudent=prudent,
@@ -242,7 +244,10 @@ def _median_voter(model: VotingModel) -> int:
     g2s = sorted(v.gamma2 for v in model.voters)
     med1, med2 = g1s[n // 2], g2s[n // 2]
     for j, v in enumerate(model.voters):
-        if abs(v.gamma1 - med1) <= 1e-12 and abs(v.gamma2 - med2) <= 1e-12:
+        if (
+            abs(v.gamma1 - med1) <= INPUT_SLACK
+            and abs(v.gamma2 - med2) <= INPUT_SLACK
+        ):
             return j
     raise SpecError(
         "no single voter is the median at both cutoffs; the ordering "
@@ -318,7 +323,7 @@ def voting_comparative_statics(
             )
         )
     decrease = any(
-        b.payoff < a.payoff - 1e-12 and b.parameter > a.parameter
+        b.payoff < a.payoff - TIE_MARGIN and b.parameter > a.parameter
         for a, b in zip(rows, rows[1:])
     )
     return SweepResult(tuple(rows), decrease)

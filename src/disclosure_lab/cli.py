@@ -49,7 +49,7 @@ from .game import (
     dominance_gap,
     unraveling_payoff,
 )
-from .prior import Prior, SolverError, SpecError
+from .prior import LP_TOL, NEGLIGIBLE, Prior, SolverError, SpecError
 from .representation import DeterministicRepresentation, representation_payoff
 
 log = logging.getLogger("disclosure_lab.cli")
@@ -59,17 +59,6 @@ _LOG_LEVELS = {
     "info": logging.INFO,
     "debug": logging.DEBUG,
 }
-
-_GAME_VERBS = (
-    "solve",
-    "implementable",
-    "suffcond",
-    "preferred",
-    "payoff-set",
-    "ore-at",
-    "baselines",
-)
-
 
 def _fmt(x: float) -> str:
     """Floats at 12 significant digits; below solver tolerance and
@@ -259,7 +248,7 @@ def _write_intervals(
             g = spec.cutoffs[i]
             rows.append((i, g, g, g, "skipped"))
             continue
-        if spec.prior.mass(cell) > 1e-12:
+        if spec.prior.mass(cell) > NEGLIGIBLE:
             mean = spec.prior.partial_mean(cell)
         else:
             mean = cell.lo
@@ -408,19 +397,27 @@ def _baselines_out(spec: GameSpec, args) -> dict:
     return out
 
 
-_GAME_HANDLERS = {
-    "solve": _solve_out,
-    "implementable": _implementable_out,
-    "suffcond": _suffcond_out,
-    "preferred": _preferred_out,
-    "payoff-set": _payoff_set_out,
-    "ore-at": _ore_at_out,
-    "baselines": _baselines_out,
+# Every verb that runs on a game spec, in subparser order: its handler
+# and its --help line.
+_GAME_VERBS = {
+    "solve": (
+        _solve_out, "commitment solution and its canonical representation"
+    ),
+    "implementable": (
+        _implementable_out, "whether the commitment outcome is an equilibrium"
+    ),
+    "suffcond": (
+        _suffcond_out, "sufficient-condition table for implementability"
+    ),
+    "preferred": (_preferred_out, "sender-preferred equilibrium representation"),
+    "payoff-set": (_payoff_set_out, "range of equilibrium payoffs"),
+    "ore-at": (_ore_at_out, "equilibrium hitting a given payoff (--target)"),
+    "baselines": (_baselines_out, "unraveling and cheap talk payoffs"),
 }
 
 
 def _cmd_game(args) -> dict:
-    return _GAME_HANDLERS[args.verb](_load_spec(args.input), args)
+    return _GAME_VERBS[args.verb][0](_load_spec(args.input), args)
 
 
 def _cmd_app_seller(args) -> dict:
@@ -442,7 +439,7 @@ def _cmd_app_seller(args) -> dict:
         _write_steps(args.csv, spec)
     if args.then:
         log.info("running %s on the generated game", args.then)
-        out["result"] = _GAME_HANDLERS[args.then](spec, args)
+        out["result"] = _GAME_VERBS[args.then][0](spec, args)
     return out
 
 
@@ -483,7 +480,7 @@ def _cmd_app_voting(args) -> dict:
             _write_voting_sweep(args.csv, result)
     if args.then:
         log.info("running %s on the generated game", args.then)
-        out["result"] = _GAME_HANDLERS[args.then](spec, args)
+        out["result"] = _GAME_VERBS[args.then][0](spec, args)
     return out
 
 
@@ -500,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        default=1e-10,
+        default=LP_TOL,
         help="tolerance for the feasibility audit of emitted distributions",
     )
     common.add_argument(
@@ -508,17 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="verb", required=True)
-    helps = {
-        "solve": "commitment solution and its canonical representation",
-        "implementable": "whether the commitment outcome is an equilibrium",
-        "suffcond": "sufficient-condition table for implementability",
-        "preferred": "sender-preferred equilibrium representation",
-        "payoff-set": "range of equilibrium payoffs",
-        "ore-at": "equilibrium hitting a given payoff (--target)",
-        "baselines": "unraveling and cheap talk payoffs",
-    }
-    for verb in _GAME_VERBS:
-        p = sub.add_parser(verb, parents=[common], help=helps[verb])
+    for verb, (_, help_line) in _GAME_VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_line)
+        p.set_defaults(command=_cmd_game)
         if verb == "ore-at":
             p.add_argument(
                 "--target", type=float, required=True, help="payoff to hit"
@@ -529,15 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="map a seller model onto a game and report prudence",
     )
+    seller.set_defaults(command=_cmd_app_seller)
     voting = sub.add_parser(
         "app-voting",
         parents=[common],
         help="map a voting model onto a game via the median voter",
     )
+    voting.set_defaults(command=_cmd_app_voting)
     for p in (seller, voting):
         p.add_argument(
             "--then",
-            choices=_GAME_VERBS,
+            choices=tuple(_GAME_VERBS),
             default=None,
             help="also run this verb on the generated game",
         )
@@ -578,17 +569,11 @@ def _setup_logging() -> None:
     log.setLevel(level)
 
 
-_DISPATCH = dict(
-    {verb: _cmd_game for verb in _GAME_VERBS},
-    **{"app-seller": _cmd_app_seller, "app-voting": _cmd_app_voting},
-)
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
     try:
-        out = _DISPATCH[args.verb](args)
+        out = args.command(args)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

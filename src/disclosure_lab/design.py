@@ -28,21 +28,32 @@ from .game import (
     require_valid,
     value_at,
 )
-from .prior import IntervalUnion, SolverError, SpecError, find_root, interval, solve_h
+from .prior import (
+    CHECK_POINTS,
+    LP_TOL,
+    MEAN_GUARD,
+    NEGLIGIBLE,
+    SNAP_TOL,
+    TIE_MARGIN,
+    IntervalUnion,
+    SolverError,
+    SpecError,
+    find_root,
+    interval,
+    solve_h,
+)
 from .representation import DeterministicRepresentation, nested_interval_rep
-
-_NULL = 1e-12
 
 
 def _snap_to_cutoff(spec: GameSpec, mean: float) -> float:
-    """A mean within 1e-9 of an interior cutoff, moved onto it: one ulp
-    below would flip the receiver to the lower action."""
-    return next((c for c in spec.cutoffs[1:-1] if abs(c - mean) <= 1e-9), mean)
+    """A mean within SNAP_TOL of an interior cutoff, moved onto it: one
+    ulp below would flip the receiver to the lower action."""
+    return next((c for c in spec.cutoffs[1:-1] if abs(c - mean) <= SNAP_TOL), mean)
 
 
 def _snap_loc(spec: GameSpec, mean: float, target: float) -> float:
     """Atom location for a pooled mean, absorbing root-finder dust."""
-    if abs(mean - target) <= 1e-9:
+    if abs(mean - target) <= SNAP_TOL:
         return target
     return _snap_to_cutoff(spec, mean)
 
@@ -90,7 +101,7 @@ def _realize_segments(
 
     def reveal(region: IntervalUnion) -> None:
         nonlocal revealed
-        if prior.mass(region) <= _NULL:
+        if prior.mass(region) <= NEGLIGIBLE:
             return
         revealed = revealed.union(region)
         for i in range(spec.n_actions):
@@ -99,7 +110,7 @@ def _realize_segments(
 
     for seg in sorted(segments, key=lambda s: s.outer.lo):
         region = seg.outer.intersect(support)
-        if prior.mass(region) <= _NULL:
+        if prior.mass(region) <= NEGLIGIBLE:
             continue
         if seg.kind == "revealed":
             reveal(region)
@@ -130,12 +141,12 @@ def _realize_segments(
             rem = pair.remainder
             mass_in = prior.mass(pair.inner)
             mass_out = prior.mass(rem)
-            if mass_in > _NULL:
+            if mass_in > NEGLIGIBLE:
                 atoms.append((z_lo, mass_in))
                 cells[action_at(spec, z_lo)] = cells[action_at(spec, z_lo)].union(
                     pair.inner
                 )
-            if mass_out > _NULL:
+            if mass_out > NEGLIGIBLE:
                 atoms.append((z_hi, mass_out))
                 cells[action_at(spec, z_hi)] = cells[action_at(spec, z_hi)].union(rem)
             out_segments.append(Segment(region, "bipooling", (z_lo, z_hi)))
@@ -150,13 +161,13 @@ def _realize_segments(
     cutoff_atoms = [
         x
         for x, _ in atoms
-        if any(abs(x - c) <= 1e-9 for c in spec.cutoffs[1:-1])
+        if any(abs(x - c) <= SNAP_TOL for c in spec.cutoffs[1:-1])
     ]
     threshold = min(cutoff_atoms) if cutoff_atoms and len(cutoff_atoms) < len(atoms) else None
 
     anchored = []
     for i, cell in enumerate(cells):
-        if prior.mass(cell) <= _NULL and cell.length <= _NULL:
+        if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
             anchored.append(interval(spec.cutoffs[i], spec.cutoffs[i]))
         else:
             anchored.append(cell)
@@ -184,7 +195,7 @@ def solve_two_action(spec: GameSpec) -> BiPoolingSolution:
         )
     x = solve_h(prior, g1, 1.0)
     segs = []
-    if x > _NULL:
+    if x > NEGLIGIBLE:
         segs.append(Segment(interval(0.0, x), "revealed", ()))
     segs.append(Segment(interval(x, 1.0), "pooling", (g1,)))
     return _realize_segments(spec, segs)
@@ -205,7 +216,7 @@ def _three_action_candidates(spec: GameSpec):
 
     if mu <= g2:
         x_hi = solve_h(prior, g2, 1.0)
-        if x_hi > _NULL:
+        if x_hi > NEGLIGIBLE:
             # reveal below, pool the top to exactly g2
             yield "top-pool", [
                 Segment(interval(0.0, x_hi), "revealed", ()),
@@ -222,7 +233,7 @@ def _three_action_candidates(spec: GameSpec):
 
     if mu <= g1:
         x_lo = solve_h(prior, g1, 1.0)
-        if x_lo > _NULL:
+        if x_lo > NEGLIGIBLE:
             yield "skip-top", [
                 Segment(interval(0.0, x_lo), "revealed", ()),
                 Segment(interval(x_lo, 1.0), "pooling", (g1,)),
@@ -231,7 +242,7 @@ def _three_action_candidates(spec: GameSpec):
     y = _best_nested(spec, x_hi)
     if y is not None:
         segs = []
-        if prior.cdf(y) > _NULL:
+        if prior.cdf(y) > NEGLIGIBLE:
             segs.append(Segment(interval(0.0, y), "pooling",
                                 (prior.partial_mean(interval(0.0, y)),)))
         segs.append(Segment(interval(y, 1.0), "bipooling", (g1, g2)))
@@ -265,7 +276,7 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     else:
         b_cap = 1.0
     b_lo = max(g1, x_hi)
-    if b_cap <= b_lo + 1e-10:
+    if b_cap <= b_lo + NEGLIGIBLE:
         return None
 
     F, M = prior.cdf, prior.first_moment
@@ -274,7 +285,7 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     def solve_y(b: float) -> Optional[float]:
         # Residuals use F and M directly, not IntervalUnion and
         # partial_mean: this is the hot loop of the three-action solver.
-        if prior.window_mean(0.0, b, b) > g1 + 1e-13:
+        if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:
             return None
         h = solve_h(prior, g1, b)
         Fb, Mb, Fh, Mh = F(b), M(b), F(h), M(h)
@@ -287,13 +298,13 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
         def y_res(y: float) -> float:
             return ((Mh - M(y)) + (M1 - Mb)) / top_mass(y) - g2
 
-        if top_mass(0.0) <= 1e-13 or top_mass(h) <= 1e-13:
+        if top_mass(0.0) <= MEAN_GUARD or top_mass(h) <= MEAN_GUARD:
             return None
         r0 = y_res(0.0)
-        if r0 > 1e-13:
+        if r0 > MEAN_GUARD:
             return None
         rh = y_res(h)
-        if rh < -1e-13:
+        if rh < -MEAN_GUARD:
             return None
         if r0 >= 0.0:
             y = 0.0
@@ -340,22 +351,18 @@ def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
     best: Optional[BiPoolingSolution] = None
     for _, segs in _three_action_candidates(spec):
         sol = _realize_segments(spec, segs)
-        if best is None or sol.payoff > best.payoff + 1e-12:
+        if best is None or sol.payoff > best.payoff + TIE_MARGIN:
             best = sol
     assert best is not None
     return best
 
 
-# LP weights at or below this are solver noise, and a Lorenz constraint
-# within it of equality binds.
-_ATOM = 1e-9
-# Largest Lorenz violation the cutting-plane loop accepts, and its
-# round cap; HiGHS at _LP_OPTS leaves violations near 3e-11.
-_CUT_TOL = 1e-10
+# Round cap of the cutting-plane loop; HiGHS at _LP_OPTS leaves Lorenz
+# violations near 3e-11, inside LP_TOL.
 _CUT_ROUNDS = 50
 _LP_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+    "primal_feasibility_tolerance": LP_TOL,
+    "dual_feasibility_tolerance": LP_TOL,
 }
 
 
@@ -413,10 +420,10 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
         p, q = res.x[:n], res.x[n:]
         run_p, run_q = np.cumsum(p)[:-1], np.cumsum(q)[:-1]
         slack = [qk - lorenz(pk) for pk, qk in zip(run_p, run_q)]
-        if min(slack) >= -_CUT_TOL:
+        if min(slack) >= -LP_TOL:
             break
         for pk, sk in zip(run_p, slack):
-            if sk < -_CUT_TOL:
+            if sk < -LP_TOL:
                 cut(pk)
     else:
         raise SolverError(
@@ -436,7 +443,7 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
         segments.append(Segment(interval(lo, hi), kind, tuple(group)))
 
     for i in range(n):
-        if p[i] > _ATOM:
+        if p[i] > SNAP_TOL:
             if split is not None:
                 hi = prior.quantile(split)
                 close(hi)
@@ -445,7 +452,7 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
             group.append(_snap_to_cutoff(spec, float(mean)))
             split = None
         # the first binding constraint after an atom ends its segment
-        if group and split is None and i < n - 1 and slack[i] <= _ATOM:
+        if group and split is None and i < n - 1 and slack[i] <= SNAP_TOL:
             split = run_p[i]
     close(1.0)
     return _realize_segments(spec, segments)
@@ -460,11 +467,9 @@ def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
         raise SpecError("grid_size must be at least 51")
     pts = np.arange(grid_size, dtype=float) / (grid_size - 1)
     cuts = np.array(spec.cutoffs, dtype=float)
-    keep = pts[np.all(np.abs(pts[:, None] - cuts[None, :]) > 1e-12, axis=1)]
+    keep = pts[np.all(np.abs(pts[:, None] - cuts[None, :]) > NEGLIGIBLE, axis=1)]
     return np.unique(np.concatenate([keep, cuts]))
 
-
-_CHECK_SET_N = 1001
 
 # Atom grid size of lp_value wherever none is given.
 DEFAULT_GRID = 961
@@ -473,9 +478,9 @@ DEFAULT_GRID = 961
 def _check_points(spec: GameSpec) -> np.ndarray:
     """Fixed dominance check set, independent of the atom grid so that
     refining the grid only adds variables and never new constraints."""
-    base = np.arange(_CHECK_SET_N, dtype=float) / (_CHECK_SET_N - 1)
+    base = np.arange(CHECK_POINTS, dtype=float) / (CHECK_POINTS - 1)
     cuts = np.array(spec.cutoffs, dtype=float)
-    keep = base[np.all(np.abs(base[:, None] - cuts[None, :]) > 1e-12, axis=1)]
+    keep = base[np.all(np.abs(base[:, None] - cuts[None, :]) > NEGLIGIBLE, axis=1)]
     return np.unique(np.concatenate([keep, cuts]))
 
 

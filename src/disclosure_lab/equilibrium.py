@@ -13,7 +13,20 @@ from typing import Optional
 
 from .design import BiPoolingSolution, commitment_solution
 from .game import GameSpec, require_valid, unraveling_payoff
-from .prior import IntervalUnion, SolverError, SpecError, find_root, interval, solve_h
+from .prior import (
+    AUDIT_TOL,
+    INPUT_SLACK,
+    LANDING_TOL,
+    MEAN_GUARD,
+    NEGLIGIBLE,
+    TIE_MARGIN,
+    IntervalUnion,
+    SolverError,
+    SpecError,
+    find_root,
+    interval,
+    solve_h,
+)
 from .representation import (
     DeterministicRepresentation,
     ICReport,
@@ -87,7 +100,7 @@ def check_nam(spec: GameSpec) -> list[bool]:
 
 def _density_nondecreasing(spec: GameSpec) -> bool:
     dens = spec.prior.density
-    return all(b >= a - 1e-12 for a, b in zip(dens, dens[1:]))
+    return all(b >= a - INPUT_SLACK for a, b in zip(dens, dens[1:]))
 
 
 def check_cni(spec: GameSpec) -> bool:
@@ -103,10 +116,10 @@ def check_cni(spec: GameSpec) -> bool:
     vals, cuts = spec.values, spec.cutoffs
     v_gaps = [b - a for a, b in zip(vals, vals[1:])]
     c_gaps = [b - a for a, b in zip(cuts, cuts[1:])]
-    v_ok = all(b >= a - 1e-12 for a, b in zip(v_gaps, v_gaps[1:]))
-    v_strict = any(b > a + 1e-12 for a, b in zip(v_gaps, v_gaps[1:]))
-    c_ok = all(b <= a + 1e-12 for a, b in zip(c_gaps, c_gaps[1:]))
-    c_strict = any(b < a - 1e-12 for a, b in zip(c_gaps, c_gaps[1:]))
+    v_ok = all(b >= a - INPUT_SLACK for a, b in zip(v_gaps, v_gaps[1:]))
+    v_strict = any(b > a + INPUT_SLACK for a, b in zip(v_gaps, v_gaps[1:]))
+    c_ok = all(b <= a + INPUT_SLACK for a, b in zip(c_gaps, c_gaps[1:]))
+    c_strict = any(b < a - INPUT_SLACK for a, b in zip(c_gaps, c_gaps[1:]))
     if len(v_gaps) > 1 and not (v_ok and v_strict):
         return False
     if len(c_gaps) > 1 and not (c_ok and c_strict):
@@ -161,19 +174,19 @@ def _preferred_candidates(spec: GameSpec):
     # interior family: B_1 = [h, g2] pinned to mean g1, top cell mean g2
     h = solve_h(prior, g1, g2)
     fam = lambda y: IntervalUnion(((y, h), (g2, 1.0)))
-    if prior.mass(fam(0.0)) > 1e-13:
+    if prior.mass(fam(0.0)) > MEAN_GUARD:
         r0 = prior.partial_mean(fam(0.0)) - g2
-        if r0 <= 1e-13:
+        if r0 <= MEAN_GUARD:
             if r0 >= 0.0:
                 y = 0.0
             else:
                 y = find_root(lambda t: prior.partial_mean(fam(t)) - g2, 0.0, h)
-            if h - y > 1e-12:
+            if h - y > NEGLIGIBLE:
                 top = IntervalUnion(((y, h), (g2, 1.0)))
             else:
                 top = interval(g2, 1.0)
             cells = (
-                interval(0.0, y) if y > 1e-12 else _anchor(spec, 0),
+                interval(0.0, y) if y > NEGLIGIBLE else _anchor(spec, 0),
                 interval(h, g2),
                 top,
             )
@@ -215,7 +228,7 @@ def preferred_ore(spec: GameSpec) -> OREResult:
         audit = verify_ore(spec, rep)
         if not audit.ok:
             continue
-        if best is None or audit.payoff > best[0] + 1e-12:
+        if best is None or audit.payoff > best[0] + TIE_MARGIN:
             best = (audit.payoff, rep)
     if best is None:
         raise SolverError("no obedient incentive-compatible candidate found")
@@ -265,11 +278,11 @@ def ore_at_payoff(
         base = preferred
     r_u = unraveling_payoff(spec)
     r_s = representation_payoff(spec, base)
-    if target < r_u - 1e-9 or target > r_s + 1e-9:
+    if target < r_u - AUDIT_TOL or target > r_s + AUDIT_TOL:
         raise SpecError(
             f"target {target:.12g} out of range [{r_u:.12g}, {r_s:.12g}]"
         )
-    if abs(target - r_s) <= 1e-9:
+    if abs(target - r_s) <= AUDIT_TOL:
         return base
 
     def payoff_at(z: float) -> float:
@@ -283,7 +296,7 @@ def ore_at_payoff(
         z = find_root(lambda t: payoff_at(t) - target, 0.0, z_hi)
     out = sweep_representation(spec, base, z)
     got = representation_payoff(spec, out)
-    if abs(got - target) > 1e-7:
+    if abs(got - target) > LANDING_TOL:
         raise SolverError(
             f"payoff sweep landed at {got:.12g}, target {target:.12g}"
         )

@@ -15,7 +15,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .prior import IntervalUnion, Prior, SpecError, interval
+from .prior import (
+    AUDIT_TOL,
+    CHECK_POINTS,
+    INPUT_SLACK,
+    MPC_TOL,
+    IntervalUnion,
+    Prior,
+    SpecError,
+    interval,
+)
 
 
 @dataclass(frozen=True)
@@ -78,12 +87,12 @@ def validate(spec: GameSpec) -> list[str]:
     if len(cuts) != len(vals) + 1:
         problems.append("cutoff count must be action count plus one")
     if cuts:
-        if abs(cuts[0]) > 1e-12 or abs(cuts[-1] - 1.0) > 1e-12:
+        if abs(cuts[0]) > INPUT_SLACK or abs(cuts[-1] - 1.0) > INPUT_SLACK:
             problems.append("cutoffs must start at 0 and end at 1")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         problems.append("cutoffs not ascending")
     if vals:
-        if abs(vals[0]) > 1e-12:
+        if abs(vals[0]) > INPUT_SLACK:
             problems.append("lowest action value must be 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             problems.append("values not increasing")
@@ -144,7 +153,7 @@ class MeanDistribution:
             "atoms",
             tuple((float(x), float(p)) for x, p in self.atoms),
         )
-        if any(p < -1e-12 for _, p in self.atoms):
+        if any(p < -INPUT_SLACK for _, p in self.atoms):
             raise SpecError("atom probabilities must be nonnegative")
 
     def total_mass(self, prior: Prior) -> float:
@@ -186,26 +195,25 @@ class MeanDistribution:
 
     def validate(self, prior: Prior) -> list[str]:
         problems = []
-        if abs(self.total_mass(prior) - 1.0) > 1e-9:
+        if abs(self.total_mass(prior) - 1.0) > AUDIT_TOL:
             problems.append("probabilities do not sum to one")
-        if abs(self.mean(prior) - prior.mean) > 1e-9:
+        if abs(self.mean(prior) - prior.mean) > AUDIT_TOL:
             problems.append("mean does not match the prior mean")
         return problems
 
 
-def dominance_gap(
-    prior: Prior, dist: MeanDistribution, grid: int = 1001
-) -> float:
-    """Largest violation of integrated-cdf dominance on an even grid.
+def dominance_gap(prior: Prior, dist: MeanDistribution) -> float:
+    """Largest violation of integrated-cdf dominance on CHECK_POINTS
+    evenly spaced points.
 
     Feasible distributions over posterior means are exactly the mean
     preserving contractions of the prior, i.e. those whose integrated
     cdf stays below the prior's with equality at 1. Returns the largest
-    positive gap (0 when dominance holds everywhere on the grid).
+    positive gap (0 when dominance holds at every point).
     """
     worst = 0.0
-    for j in range(grid):
-        x = j / (grid - 1)
+    for j in range(CHECK_POINTS):
+        x = j / (CHECK_POINTS - 1)
         gap = dist.integrated_cdf(prior, x) - prior.integrated_cdf(x)
         if gap > worst:
             worst = gap
@@ -215,5 +223,5 @@ def dominance_gap(
     return max(worst, end_gap)
 
 
-def is_mpc(prior: Prior, dist: MeanDistribution, grid: int = 1001, tol: float = 1e-8) -> bool:
-    return dominance_gap(prior, dist, grid) <= tol and not dist.validate(prior)
+def is_mpc(prior: Prior, dist: MeanDistribution) -> bool:
+    return dominance_gap(prior, dist) <= MPC_TOL and not dist.validate(prior)

@@ -24,6 +24,54 @@ from typing import Callable, Sequence
 
 from scipy.optimize import brentq
 
+# Numeric thresholds of the package, each named once. Every module takes
+# its thresholds from this table; tests/test_tolerances.py fails on a
+# float in e-notation anywhere else. Roles that share a value keep
+# separate names where they answer different questions: INPUT_SLACK
+# reads what a caller passed, TIE_MARGIN compares two payoffs and
+# NEGLIGIBLE drops what the solvers themselves produced; SNAP_TOL moves
+# solver output while AUDIT_TOL only judges it.
+#
+# Slack on inputs: points, knots and cutoffs this close to 0 or 1 read
+# as 0 or 1, and chains of densities, values, gaps and voter cutoffs
+# compare equal within it.
+INPUT_SLACK = 1e-12
+# A candidate replaces the incumbent only when it pays more by this
+# margin, so ties go to the earlier, simpler structure.
+TIE_MARGIN = 1e-12
+# A region with at most this much prior mass has no conditional mean.
+NO_MEAN_MASS = 1e-14
+# Prior mass or length at or below this is nothing: a region is not
+# revealed, a cell gets no atom, a piece or a range of b is empty.
+NEGLIGIBLE = 1e-12
+# Guard on the mean equations of pooling windows: a residual within it
+# of zero counts as solved, a top cell with less mass as empty, and two
+# bi-pool targets closer than it as one.
+MEAN_GUARD = 1e-13
+# A mean this close to a cutoff is root-finder dust and moves onto it;
+# LP weights at or below it are solver noise, and a Lorenz constraint
+# within it of equality binds.
+SNAP_TOL = 1e-9
+# Audits of emitted designs: coverage and overlap mass, obedience and
+# bi-pool means, distribution totals, payoff targets. A set of at most
+# this much prior mass is null for incentive compatibility and for the
+# structural implementability check alike.
+AUDIT_TOL = 1e-9
+# HiGHS primal and dual feasibility, the largest Lorenz violation the
+# cutting-plane loop accepts, and the default of the CLI's --tol.
+LP_TOL = 1e-10
+# Bracket width at which find_root stops.
+ROOT_XTOL = 1e-15
+# Single-use values: the dominance gap is_mpc accepts, the payoff error
+# ore_at_payoff accepts where its root lands, and the least gap between
+# the seller's quantity cutoffs.
+MPC_TOL = 1e-8
+LANDING_TOL = 1e-7
+SELLER_CUT_GAP = 1e-15
+# Evenly spaced points on [0, 1] where integrated-cdf dominance is
+# checked, by dominance_gap and by the LP oracle.
+CHECK_POINTS = 1001
+
 
 class SpecError(ValueError):
     """Bad input: schema violations, failed preconditions, invalid objects."""
@@ -37,13 +85,8 @@ class ZeroMassError(SpecError):
     """Conditional moment requested on a set of zero prior mass."""
 
 
-_EDGE_TOL = 1e-12
-# A region with at most this much prior mass has no conditional mean.
-_NULL_MASS = 1e-14
-
-
-def _clip01(x: float, tol: float = _EDGE_TOL) -> float:
-    if x < -tol or x > 1.0 + tol:
+def _clip01(x: float) -> float:
+    if x < -INPUT_SLACK or x > 1.0 + INPUT_SLACK:
         raise SpecError(f"point {x!r} outside the unit interval")
     return min(1.0, max(0.0, x))
 
@@ -110,8 +153,8 @@ class IntervalUnion:
             return self
         return IntervalUnion(((self.lo, self.hi),))
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self.pieces)
+    def contains(self, x: float) -> bool:
+        return any(a <= x <= b for a, b in self.pieces)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.pieces + other.pieces)
@@ -186,7 +229,7 @@ class Prior:
         dens = tuple(float(d) for d in self.density)
         if len(knots) != len(dens) or len(knots) < 2:
             raise SpecError("knots and density must align with length >= 2")
-        if abs(knots[0]) > _EDGE_TOL or abs(knots[-1] - 1.0) > _EDGE_TOL:
+        if abs(knots[0]) > INPUT_SLACK or abs(knots[-1] - 1.0) > INPUT_SLACK:
             raise SpecError("knots must span [0, 1]")
         knots = (0.0,) + knots[1:-1] + (1.0,)
         if any(b <= a for a, b in zip(knots, knots[1:])):
@@ -312,7 +355,7 @@ class Prior:
     def partial_mean(self, region: IntervalUnion) -> float:
         """Conditional expectation of the state given the region."""
         m = self.mass(region)
-        if m <= _NULL_MASS:
+        if m <= NO_MEAN_MASS:
             raise ZeroMassError(f"region {region.pieces!r} carries no prior mass")
         num = sum(self.first_moment(b) - self.first_moment(a) for a, b in region.pieces)
         return num / m
@@ -327,7 +370,7 @@ class Prior:
         zero-density stretches.
         """
         m = self.cdf(b) - self.cdf(a)
-        if m <= _NULL_MASS:
+        if m <= NO_MEAN_MASS:
             return empty
         return (self.first_moment(b) - self.first_moment(a)) / m
 
@@ -369,12 +412,11 @@ def find_root(
     b: float,
     *,
     iters: int = 120,
-    xtol: float = 1e-15,
 ) -> float:
     """Root of f on the bracket [a, b] by Brent's method.
 
     An endpoint whose residual is exactly zero is returned as is.
-    Endpoints with the same strict sign, or no convergence to xtol
+    Endpoints with the same strict sign, or no convergence to ROOT_XTOL
     within iters iterations, raise SolverError.
     """
     fa = f(a)
@@ -389,7 +431,7 @@ def find_root(
             f"({fa:.3e} and {fb:.3e})"
         )
     root, info = brentq(
-        f, a, b, xtol=xtol, maxiter=iters, full_output=True, disp=False
+        f, a, b, xtol=ROOT_XTOL, maxiter=iters, full_output=True, disp=False
     )
     if not info.converged:
         raise SolverError(f"root finder did not converge in {iters} iterations")

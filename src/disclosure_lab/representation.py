@@ -15,9 +15,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import GameSpec, MeanDistribution, require_valid
-from .prior import IntervalUnion, Prior, SolverError, SpecError, find_root, interval
-
-_NULL_MASS = 1e-12
+from .prior import (
+    AUDIT_TOL,
+    MEAN_GUARD,
+    NEGLIGIBLE,
+    NO_MEAN_MASS,
+    IntervalUnion,
+    Prior,
+    SolverError,
+    SpecError,
+    find_root,
+    interval,
+)
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class DeterministicRepresentation:
 
 
 def validate_representation(
-    spec: GameSpec, rep: DeterministicRepresentation, atol: float = 1e-9
+    spec: GameSpec, rep: DeterministicRepresentation
 ) -> list[str]:
     require_valid(spec)
     problems = []
@@ -59,12 +68,12 @@ def validate_representation(
     for cell in rep.cells:
         covered = covered.union(cell)
     gap = interval(0.0, 1.0).subtract(covered)
-    if spec.prior.mass(gap) > atol:
+    if spec.prior.mass(gap) > AUDIT_TOL:
         problems.append(f"cells leave mass {spec.prior.mass(gap):.3e} uncovered")
     for i in range(rep.n_actions):
         for j in range(i + 1, rep.n_actions):
             overlap = spec.prior.mass(rep.cells[i].intersect(rep.cells[j]))
-            if overlap > atol:
+            if overlap > AUDIT_TOL:
                 problems.append(
                     f"cells {i} and {j} overlap with mass {overlap:.3e}"
                 )
@@ -88,7 +97,7 @@ def induced_distribution(
     payoff = 0.0
     for i, cell in enumerate(rep.cells):
         m = spec.prior.mass(cell)
-        if m <= _NULL_MASS:
+        if m <= NEGLIGIBLE:
             continue
         atoms.append((spec.prior.partial_mean(cell), m))
         payoff += spec.values[i] * m
@@ -110,20 +119,18 @@ class ObedienceReport:
     rows: tuple[ObedienceRow, ...]
 
 
-def is_obedient(
-    spec: GameSpec, rep: DeterministicRepresentation, atol: float = 1e-9
-) -> ObedienceReport:
+def is_obedient(spec: GameSpec, rep: DeterministicRepresentation) -> ObedienceReport:
     """Each nonnull cell's conditional mean must lie in its own cutoff
     interval, so the named action is actually the receiver's reply."""
     require_valid(spec)
     rows = []
     for i, cell in enumerate(rep.cells):
-        if spec.prior.mass(cell) <= _NULL_MASS:
+        if spec.prior.mass(cell) <= NEGLIGIBLE:
             continue
         mean = spec.prior.partial_mean(cell)
         lo, hi = spec.cutoffs[i], spec.cutoffs[i + 1]
         rows.append(
-            ObedienceRow(i, mean, lo, hi, lo - atol <= mean <= hi + atol)
+            ObedienceRow(i, mean, lo, hi, lo - AUDIT_TOL <= mean <= hi + AUDIT_TOL)
         )
     return ObedienceReport(all(r.ok for r in rows), tuple(rows))
 
@@ -136,15 +143,16 @@ class ICReport:
 
 
 def is_incentive_compatible(
-    spec: GameSpec, rep: DeterministicRepresentation, atol: float = 1e-9
+    spec: GameSpec, rep: DeterministicRepresentation
 ) -> ICReport:
     """Coverage form of incentive compatibility.
 
     States in the cutoff cell of action i can always exhibit evidence
     of membership in that cell, so they must already be assigned an
     action at least as good: A_i must be covered, up to a null set, by
-    the cells of actions i and above. Reports the first failing action
-    with the uncovered subinterval.
+    the cells of actions i and above. A set is null when its prior mass
+    is at most AUDIT_TOL, the rule ``check_prop2`` uses as well. Reports
+    the first failing action with the uncovered subinterval.
     """
     require_valid(spec)
     for i in range(spec.n_actions):
@@ -152,7 +160,7 @@ def is_incentive_compatible(
         for j in range(i, spec.n_actions):
             upper = upper.union(rep.cells[j])
         missing = spec.cell(i).subtract(upper)
-        if spec.prior.mass(missing) > atol:
+        if spec.prior.mass(missing) > AUDIT_TOL:
             return ICReport(False, i, missing)
     return ICReport(True)
 
@@ -178,12 +186,7 @@ def _require_interval(outer: IntervalUnion) -> None:
 
 
 def nested_interval_rep(
-    prior: Prior,
-    outer: IntervalUnion,
-    z_lo: float,
-    z_hi: float,
-    *,
-    atol: float = 1e-9,
+    prior: Prior, outer: IntervalUnion, z_lo: float, z_hi: float
 ) -> NestedPair:
     """Split outer into an inner window with conditional mean z_lo and a
     remainder with conditional mean z_hi.
@@ -196,25 +199,28 @@ def nested_interval_rep(
     """
     _require_interval(outer)
     total = prior.mass(outer)
-    if total <= _NULL_MASS:
+    if total <= NEGLIGIBLE:
         raise SpecError("outer region carries no prior mass")
     m = prior.partial_mean(outer)
     lo, hi = outer.lo, outer.hi
-    if z_hi - z_lo <= 1e-13:
-        if abs(m - z_lo) > atol:
+    if z_hi - z_lo <= MEAN_GUARD:
+        if abs(m - z_lo) > AUDIT_TOL:
             raise SolverError(
                 f"degenerate targets need outer mean {m:.12g} equal to them"
             )
         return NestedPair(outer, outer, z_lo, z_hi)
-    if not (lo - atol <= z_lo <= m + atol and m - atol <= z_hi <= hi + atol):
+    if not (
+        lo - AUDIT_TOL <= z_lo <= m + AUDIT_TOL
+        and m - AUDIT_TOL <= z_hi <= hi + AUDIT_TOL
+    ):
         raise SolverError(
             f"targets ({z_lo}, {z_hi}) incompatible with outer mean {m:.12g}"
         )
     mass_in = total * (z_hi - m) / (z_hi - z_lo)
     mass_in = min(max(mass_in, 0.0), total)
-    if mass_in >= total - 1e-14:
+    if mass_in >= total - NO_MEAN_MASS:
         return NestedPair(outer, outer, z_lo, z_hi)
-    if mass_in <= 1e-14:
+    if mass_in <= NO_MEAN_MASS:
         return NestedPair(outer, IntervalUnion.empty(), z_lo, z_hi)
 
     def window_hi(p: float) -> float:
@@ -234,7 +240,7 @@ def nested_interval_rep(
         return prior.window_mean(p, window_hi(p), p) - z_lo
 
     r_lo, r_hi = residual(lo), residual(p_max)
-    if r_lo > atol or r_hi < -atol:
+    if r_lo > AUDIT_TOL or r_hi < -AUDIT_TOL:
         raise SolverError(
             "no nested pair: the requested means are infeasible for this "
             f"outer region (residuals {r_lo:.3e}, {r_hi:.3e})"
@@ -251,9 +257,9 @@ def nested_interval_rep(
     rem = pair.remainder
     err_in = abs(prior.partial_mean(inner) - z_lo)
     err_out = (
-        abs(prior.partial_mean(rem) - z_hi) if prior.mass(rem) > _NULL_MASS else 0.0
+        abs(prior.partial_mean(rem) - z_hi) if prior.mass(rem) > NEGLIGIBLE else 0.0
     )
-    if err_in > atol or err_out > atol:
+    if err_in > AUDIT_TOL or err_out > AUDIT_TOL:
         raise SolverError(
             f"nested pair residuals too large ({err_in:.3e}, {err_out:.3e})"
         )
@@ -261,12 +267,7 @@ def nested_interval_rep(
 
 
 def feasible_bipool(
-    prior: Prior,
-    outer: IntervalUnion,
-    z_lo: float,
-    z_hi: float,
-    *,
-    atol: float = 1e-9,
+    prior: Prior, outer: IntervalUnion, z_lo: float, z_hi: float
 ) -> bool:
     """Whether outer can be split into two parts with means z_lo and z_hi.
 
@@ -276,13 +277,16 @@ def feasible_bipool(
     """
     _require_interval(outer)
     total = prior.mass(outer)
-    if total <= _NULL_MASS:
+    if total <= NEGLIGIBLE:
         return False
     m = prior.partial_mean(outer)
     lo, hi = outer.lo, outer.hi
-    if not (lo - atol <= z_lo <= m + atol and m - atol <= z_hi <= hi + atol):
+    if not (
+        lo - AUDIT_TOL <= z_lo <= m + AUDIT_TOL
+        and m - AUDIT_TOL <= z_hi <= hi + AUDIT_TOL
+    ):
         return False
-    if z_hi - z_lo <= 1e-13:
+    if z_hi - z_lo <= MEAN_GUARD:
         return True
 
     def low_mean(y: float) -> float:
@@ -293,17 +297,17 @@ def feasible_bipool(
     else:
         y = find_root(lambda y: low_mean(y) - z_lo, lo, hi)
     top = outer.intersect(interval(y, hi))
-    if prior.mass(top) <= _NULL_MASS:
-        return z_hi <= low_mean(hi) + atol
-    return prior.partial_mean(top) >= z_hi - atol
+    if prior.mass(top) <= NEGLIGIBLE:
+        return z_hi <= low_mean(hi) + AUDIT_TOL
+    return prior.partial_mean(top) >= z_hi - AUDIT_TOL
 
 
-def is_laminar(rep: DeterministicRepresentation, atol: float = 1e-9) -> bool:
+def is_laminar(rep: DeterministicRepresentation) -> bool:
     """Every cell must equal the closure of its convex hull minus the
     hulls of all lower cells; null and degenerate cells pass vacuously."""
     hulls: list[Optional[IntervalUnion]] = []
     for cell in rep.cells:
-        hulls.append(cell.hull() if cell.length > atol else None)
+        hulls.append(cell.hull() if cell.length > AUDIT_TOL else None)
     for i, cell in enumerate(rep.cells):
         if hulls[i] is None:
             continue
@@ -312,7 +316,7 @@ def is_laminar(rep: DeterministicRepresentation, atol: float = 1e-9) -> bool:
             if hulls[j] is not None:
                 expected = expected.subtract(hulls[j])
         mismatch = expected.subtract(cell).length + cell.subtract(expected).length
-        if mismatch > atol:
+        if mismatch > AUDIT_TOL:
             return False
     return True
 
@@ -354,7 +358,7 @@ def _canonical_pairs(
         raise SpecError("representation not canonical: cells are not laminar")
     pairs = []
     for k, cell in enumerate(rep.cells):
-        chunks = [p for p in cell.pieces if p[1] - p[0] > _NULL_MASS]
+        chunks = [p for p in cell.pieces if p[1] - p[0] > NEGLIGIBLE]
         if len(chunks) > 2:
             raise SpecError(
                 f"representation not canonical: cell {k} has {len(chunks)} pieces"
@@ -366,9 +370,9 @@ def _canonical_pairs(
             j
             for j, other in enumerate(rep.cells)
             if j != k
-            and other.length > _NULL_MASS
-            and other.lo >= hole.lo - 1e-9
-            and other.hi <= hole.hi + 1e-9
+            and other.length > NEGLIGIBLE
+            and other.lo >= hole.lo - AUDIT_TOL
+            and other.hi <= hole.hi + AUDIT_TOL
         ]
         if len(fillers) != 1:
             raise SpecError(
@@ -376,11 +380,11 @@ def _canonical_pairs(
                 f"filled by exactly one other cell"
             )
         j = fillers[0]
-        if len([p for p in rep.cells[j].pieces if p[1] - p[0] > _NULL_MASS]) != 1:
+        if len([p for p in rep.cells[j].pieces if p[1] - p[0] > NEGLIGIBLE]) != 1:
             raise SpecError(
                 f"representation not canonical: inner cell {j} is not an interval"
             )
-        if hole.subtract(rep.cells[j]).length > 1e-9:
+        if hole.subtract(rep.cells[j]).length > AUDIT_TOL:
             raise SpecError(
                 f"representation not canonical: cell {j} does not fill the "
                 f"gap in cell {k}"
@@ -401,25 +405,35 @@ def check_prop2(spec: GameSpec, rep: DeterministicRepresentation) -> Prop2Report
     extend past the skipped action's cutoff; (ii) the inner cell of a
     nested pair may not extend past the outer action's cutoff. Together
     these are equivalent to incentive compatibility for canonical cells.
+
+    Both read null sets as ``is_incentive_compatible`` does: an action
+    is skipped when its cell carries at most AUDIT_TOL of prior mass,
+    and a cell extends past a cutoff g only when its part above g
+    carries more, so a cell running on through a zero-density stretch
+    does not. A violation reports the cell's upper end as its sup.
     """
     pairs = _canonical_pairs(spec, rep)
-    masses = [spec.prior.mass(c) for c in rep.cells]
+    prior = spec.prior
+
+    def reaches_past(j: int, g: float) -> bool:
+        return prior.mass(rep.cells[j].intersect(interval(g, 1.0))) > AUDIT_TOL
+
     violations = []
     for i in range(1, spec.n_actions):
-        if masses[i] > _NULL_MASS:
+        if prior.mass(rep.cells[i]) > AUDIT_TOL:
             continue
         for j in range(i):
-            if masses[j] <= _NULL_MASS:
-                continue
-            sup = rep.cells[j].hi
-            if sup > spec.cutoffs[i] + 1e-9:
+            if reaches_past(j, spec.cutoffs[i]):
                 violations.append(
-                    Prop2Violation("skipped-action", i, j, sup, spec.cutoffs[i])
+                    Prop2Violation(
+                        "skipped-action", i, j, rep.cells[j].hi, spec.cutoffs[i]
+                    )
                 )
     for j, k in pairs:
-        sup = rep.cells[j].hi
-        if sup > spec.cutoffs[k] + 1e-9:
+        if reaches_past(j, spec.cutoffs[k]):
             violations.append(
-                Prop2Violation("nested-pair", k, j, sup, spec.cutoffs[k])
+                Prop2Violation(
+                    "nested-pair", k, j, rep.cells[j].hi, spec.cutoffs[k]
+                )
             )
     return Prop2Report(not violations, tuple(violations))

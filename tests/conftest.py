@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disclosure_lab import GameSpec, plinear_prior, uniform_prior
+from disclosure_lab import GameSpec, Prior, plinear_prior, uniform_prior
 
 
 @pytest.fixture
@@ -53,11 +53,10 @@ def random_many_action(rng: np.random.Generator) -> GameSpec:
     return GameSpec(prior, (0.0, *cuts.tolist(), 1.0), tuple(values.tolist()))
 
 
-def random_gapped_game(rng: np.random.Generator) -> GameSpec:
-    """Three actions on a four- to eight-knot plinear prior whose knot
-    densities are each 0 with probability 2/3, so the prior has
-    zero-density stretches and may start or end early; cutoffs and
-    values are drawn as in random_three_action."""
+def random_gapped_prior(rng: np.random.Generator) -> Prior:
+    """A four- to eight-knot plinear prior whose knot densities are each
+    0 with probability 2/3, so the prior has zero-density stretches and
+    may start or end early."""
     k = int(rng.integers(4, 9))
     knots = (0.0, *np.sort(rng.uniform(0.0, 1.0, size=k - 2)).tolist(), 1.0)
     while True:
@@ -65,5 +64,19 @@ def random_gapped_game(rng: np.random.Generator) -> GameSpec:
         density = np.where(zero, 0.0, rng.uniform(0.1, 2.0, size=k))
         if density.any():
             break
+    return plinear_prior(knots, density.tolist())
+
+
+def random_gapped_game(rng: np.random.Generator) -> GameSpec:
+    """Three actions on a random_gapped_prior; cutoffs and values are
+    drawn as in random_three_action."""
+    prior = random_gapped_prior(rng)
     game = random_three_action(rng)
-    return GameSpec(plinear_prior(knots, density.tolist()), game.cutoffs, game.values)
+    return GameSpec(prior, game.cutoffs, game.values)
+
+
+def random_gapped_many_action(rng: np.random.Generator) -> GameSpec:
+    """Cutoffs and values of random_many_action, drawn first, on a
+    random_gapped_prior."""
+    game = random_many_action(rng)
+    return GameSpec(random_gapped_prior(rng), game.cutoffs, game.values)

@@ -10,6 +10,7 @@ from disclosure_lab import (
     check_c3i,
     check_cni,
     check_nam,
+    check_prop2,
     commitment_solution,
     dominance_gap,
     implementable,
@@ -25,7 +26,11 @@ from disclosure_lab import (
     verify_ore,
 )
 
-from conftest import random_gapped_game, random_three_action
+from conftest import (
+    random_gapped_game,
+    random_gapped_many_action,
+    random_three_action,
+)
 
 EXS_PREFERRED = 1.02 - 1.1 * (1.8 - math.sqrt(2.6)) / 2.0
 EXY_Y = (1.4 - math.sqrt(0.52)) / 2.0
@@ -231,3 +236,23 @@ def test_gapped_priors_solve_and_agree_with_ic():
         preferred_ore(spec)
         if k % 10 == 0:
             assert sol.payoff <= lp_value(spec) + 1e-9
+
+
+def test_gapped_many_action_games_agree_with_ic():
+    """Four to six actions on gapped priors: the commitment solution is
+    feasible, and the Prop 2 verdict is the incentive-compatibility
+    verdict. In game 99 a cell runs on through a zero-density stretch
+    past a skipped action's cutoff, and in game 103 a revealed sliver of
+    mass 9e-10 makes a skipped action look taken; incentive
+    compatibility reads both as null sets, and so must Prop 2."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        spec = random_gapped_many_action(rng)
+        sol = commitment_solution(spec)
+        assert sol.distribution.validate(spec.prior) == []
+        assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+        # implementable(spec) is this Prop 2 check on sol.canonical
+        assert (
+            check_prop2(spec, sol.canonical).ok
+            == is_incentive_compatible(spec, sol.canonical).ok
+        )
