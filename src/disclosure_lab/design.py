@@ -10,16 +10,16 @@ structures in closed form; for larger games it solves for one atom per
 action cell under the prior's Lorenz-curve constraints, and reads the
 segments off the binding ones. A grid LP (``lp_value``) stays as the
 oracle the exact solvers are checked against.
+
+Only those two LP paths need numpy and scipy, and they import them where
+they run: two and three action games solve on the standard library
+alone, and importing this module loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from typing import TYPE_CHECKING, Optional
 
 from .game import (
     GameSpec,
@@ -43,6 +43,9 @@ from .prior import (
     solve_h,
 )
 from .representation import DeterministicRepresentation, nested_interval_rep
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _snap_to_cutoff(spec: GameSpec, mean: float) -> float:
@@ -383,6 +386,9 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
     atom (a pool) or two (a bi-pool, Arieli et al. 2023), and
     ``_realize_segments`` recomputes both exactly from the prior.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     prior = spec.prior
     n, g = spec.n_actions, spec.cutoffs
 
@@ -463,6 +469,8 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
 
 
 def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
+    import numpy as np
+
     if grid_size < 51:
         raise SpecError("grid_size must be at least 51")
     pts = np.arange(grid_size, dtype=float) / (grid_size - 1)
@@ -478,6 +486,8 @@ DEFAULT_GRID = 961
 def _check_points(spec: GameSpec) -> np.ndarray:
     """Fixed dominance check set, independent of the atom grid so that
     refining the grid only adds variables and never new constraints."""
+    import numpy as np
+
     base = np.arange(CHECK_POINTS, dtype=float) / (CHECK_POINTS - 1)
     cuts = np.array(spec.cutoffs, dtype=float)
     keep = base[np.all(np.abs(base[:, None] - cuts[None, :]) > NEGLIGIBLE, axis=1)]
@@ -492,6 +502,9 @@ def _lp_problem(spec: GameSpec, grid_size: int):
     bound s <= T_F once the recurrence rows tie s to g, which keeps the
     matrix a few nonzeros per row instead of dense.
     """
+    import numpy as np
+    from scipy import sparse
+
     prior = spec.prior
     x = _atom_grid(spec, grid_size)
     u = np.array([value_at(spec, xi) for xi in x])
@@ -554,6 +567,9 @@ def _lp_problem(spec: GameSpec, grid_size: int):
 def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
     """Optimal value of the commitment LP on the given atom grid, the
     oracle that tests compare the exact solvers against."""
+    import numpy as np
+    from scipy.optimize import linprog
+
     require_valid(spec)
     x, u, a_eq, b_eq, bounds, n = _lp_problem(spec, grid_size)
     cost = np.zeros(a_eq.shape[1])

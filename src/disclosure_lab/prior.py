@@ -6,7 +6,9 @@ with piecewise linear density on [0, 1], and finite unions of closed
 subintervals of [0, 1]. All moments have closed forms per linear piece,
 so the only iterative numerics in this module is ``find_root``, one
 bracketed Brent root finder shared by every mean and mass equation in
-the package.
+the package. It is a plain-float port of scipy's ``Zeros/brentq.c``
+that follows it step for step, so the module needs nothing beyond the
+standard library.
 
 Zero-density stretches are allowed, so a window can carry no prior
 mass. ``Prior.window_mean`` gives such a window the mean of its free
@@ -17,12 +19,11 @@ one solver of E[state | state in [h, hi]] = target, is built on it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
-
-from scipy.optimize import brentq
 
 # Numeric thresholds of the package, each named once. Every module takes
 # its thresholds from this table; tests/test_tolerances.py fails on a
@@ -60,8 +61,10 @@ AUDIT_TOL = 1e-9
 # HiGHS primal and dual feasibility, the largest Lorenz violation the
 # cutting-plane loop accepts, and the default of the CLI's --tol.
 LP_TOL = 1e-10
-# Bracket width at which find_root stops.
+# Absolute and relative bracket width at which find_root stops; the
+# relative one is scipy's brentq default, 4 machine epsilons.
 ROOT_XTOL = 1e-15
+ROOT_RTOL = 8.881784197001252e-16
 # Single-use values: the dominance gap is_mpc accepts, the payoff error
 # ore_at_payoff accepts where its root lands, and the least gap between
 # the seller's quantity cutoffs.
@@ -415,27 +418,69 @@ def find_root(
 ) -> float:
     """Root of f on the bracket [a, b] by Brent's method.
 
-    An endpoint whose residual is exactly zero is returned as is.
-    Endpoints with the same strict sign, or no convergence to ROOT_XTOL
-    within iters iterations, raise SolverError.
+    A step-for-step port of scipy's ``Zeros/brentq.c`` at xtol
+    ROOT_XTOL and rtol ROOT_RTOL, so it returns bitwise the root
+    ``scipy.optimize.brentq`` does. An endpoint whose residual is
+    exactly zero is returned as is. Endpoints with the same strict
+    sign, a NaN residual, or no convergence within iters iterations
+    raise SolverError.
     """
-    fa = f(a)
-    if fa == 0.0:
+    fpre = f(a)
+    if fpre != fpre:
+        raise SolverError(f"residual is NaN at x={a!r}")
+    if fpre == 0.0:
         return a
-    fb = f(b)
-    if fb == 0.0:
+    fcur = f(b)
+    if fcur != fcur:
+        raise SolverError(f"residual is NaN at x={b!r}")
+    if fcur == 0.0:
         return b
-    if (fa > 0) == (fb > 0):
+    if (fpre > 0) == (fcur > 0):
         raise SolverError(
             f"no bracket: residual has the same sign at both endpoints "
-            f"({fa:.3e} and {fb:.3e})"
+            f"({fpre:.3e} and {fcur:.3e})"
         )
-    root, info = brentq(
-        f, a, b, xtol=ROOT_XTOL, maxiter=iters, full_output=True, disp=False
-    )
-    if not info.converged:
-        raise SolverError(f"root finder did not converge in {iters} iterations")
-    return root
+    # xcur is the best estimate, xblk the point across the root from it
+    # and xpre the estimate before xcur; scur and spre are the last two
+    # steps.
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(iters):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no short step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's step is inf or nan: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise SolverError(f"residual is NaN at x={xcur!r}")
+    raise SolverError(f"root finder did not converge in {iters} iterations")
 
 
 def solve_h(prior: Prior, target: float, hi: float) -> float:

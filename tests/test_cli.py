@@ -1,14 +1,22 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import disclosure_lab
 from disclosure_lab import (
     DeterministicRepresentation,
     GameSpec,
+    Prior,
     SolverError,
+    commitment_solution,
+    uniform_prior,
     verify_ore,
 )
 from disclosure_lab import cli
@@ -190,6 +198,52 @@ def test_solver_failure_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", GK)
     assert code == 3
     assert "solver error: synthetic failure" in err
+
+
+def test_nan_residual_exits_three(capsys, monkeypatch):
+    """A NaN met inside a root bracket is a solver error, not a traceback."""
+    window_mean = Prior.window_mean
+
+    def holed(self, a, b, empty):
+        return math.nan if 0.1 < a < 0.6 else window_mean(self, a, b, empty)
+
+    monkeypatch.setattr(Prior, "window_mean", holed)
+    code, out, err = run(capsys, "solve", GK)
+    assert code == 3 and out == ""
+    assert "solver error: residual is NaN at x=" in err
+
+
+FOUR_CUTOFFS, FOUR_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 4.0)
+
+# Run in a fresh interpreter: 2/3-action verbs load neither numpy nor
+# scipy, and a 4-action solve afterwards imports them on demand.
+HYGIENE = f"""
+import sys
+from disclosure_lab import GameSpec, commitment_solution, uniform_prior
+from disclosure_lab.cli import main
+
+def heavy():
+    return [name for name in ("numpy", "scipy") if name in sys.modules]
+
+assert heavy() == [], heavy()
+for verb in ("solve", "preferred"):
+    assert main([verb, {str(SPECS / "exy.json")!r}]) == 0
+assert heavy() == [], heavy()
+spec = GameSpec(uniform_prior(), {FOUR_CUTOFFS!r}, {FOUR_VALUES!r})
+print(repr(commitment_solution(spec).payoff))
+assert heavy() == ["numpy", "scipy"], heavy()
+"""
+
+
+def test_three_action_verbs_load_neither_numpy_nor_scipy():
+    src = str(Path(disclosure_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", HYGIENE], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    payoff = done.stdout.splitlines()[-1]
+    spec = GameSpec(uniform_prior(), FOUR_CUTOFFS, FOUR_VALUES)
+    assert payoff == repr(commitment_solution(spec).payoff)
 
 
 def test_output_is_byte_deterministic(capsys):

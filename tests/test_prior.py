@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from disclosure_lab import (
     IntervalUnion,
@@ -15,7 +16,9 @@ from disclosure_lab import (
     solve_h,
     uniform_prior,
 )
-from disclosure_lab.prior import find_root
+from disclosure_lab.prior import ROOT_RTOL, ROOT_XTOL, find_root
+
+from conftest import random_gapped_prior
 
 
 def simpson_integral(f, a, b, n=400):
@@ -286,6 +289,86 @@ def test_find_root_non_convergence_is_solver_error():
     with pytest.raises(SolverError) as info:
         find_root(lambda x: x**3 - 2.0, 0.0, 2.0, iters=2)
     assert type(info.value) is SolverError
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, None])
+def test_find_root_nan_residual_is_solver_error(bad):
+    """A NaN at either endpoint or at an iterate names its point; None
+    puts the NaN everywhere inside the bracket."""
+
+    def f(x):
+        inside = bad is None and 0.0 < x < 1.0
+        return math.nan if x == bad or inside else x - 0.3
+
+    with pytest.raises(SolverError, match="residual is NaN at x=") as info:
+        find_root(f, 0.0, 1.0)
+    if bad is not None:
+        assert f"x={bad!r}" in str(info.value)
+
+
+def _differential_residuals():
+    """Seeded (name, f, a, b) brackets: cubics, cdf and window-mean
+    equations of plinear priors with zero-density stretches, a residual
+    flat at zero across a gap, a cubic scaled near underflow, and the
+    +1/-1 feasibility step that the nested three-action search
+    brackets."""
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 40:
+        c = [float(v) for v in rng.uniform(-2.0, 2.0, size=4)]
+        a, b = sorted(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+
+        def cubic(x, c=c):
+            return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+
+        if cubic(a) * cubic(b) < 0.0:
+            cases.append((f"cubic{len(cases)}", cubic, a, b))
+    for k in range(40):
+        p = random_gapped_prior(rng)
+        t = float(rng.uniform(0.02, 0.98))
+        cases.append((f"cdf{k}", lambda x, p=p, t=t: p.cdf(x) - t, 0.0, 1.0))
+        hi = float(rng.uniform(0.3, 1.0))
+        target = float(rng.uniform(0.0, hi))
+
+        def mean_res(h, p=p, hi=hi, target=target):
+            return p.window_mean(h, hi, h) - target
+
+        if mean_res(0.0) < 0.0:
+            cases.append((f"window{k}", mean_res, 0.0, target))
+    # flat at zero on [0.3, 0.6]: the root is any point there
+    p = plinear_prior((0.0, 0.3, 0.6, 1.0), (2.0, 0.0, 0.0, 2.0))
+    flat = p.cdf(0.3)
+    cases.append(("flat", lambda x: p.cdf(x) - flat, 0.0, 1.0))
+    cases.append(("flat-above", lambda x: p.cdf(x) - flat - 1e-3, 0.0, 1.0))
+    # near 1e-300 the extrapolation step divides by an underflowed zero
+    cases.append(("tiny", lambda x: 1e-300 * (x - 0.3) * (x * x + 0.5), -1.0, 2.0))
+    for k in range(20):
+        s = float(rng.uniform(0.1, 0.9))
+        cases.append((f"step{k}", lambda b, s=s: 1.0 if b <= s else -1.0, 0.0, 1.0))
+    return cases
+
+
+def test_find_root_is_bitwise_brentq():
+    assert ROOT_RTOL == 4 * np.finfo(float).eps
+    for name, f, a, b in _differential_residuals():
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        root, info = brentq(f, a, b, xtol=ROOT_XTOL, full_output=True)
+        assert find_root(counted, a, b).hex() == root.hex(), name
+        assert len(calls) == info.function_calls, name
+        # cut short, both give up on the same iteration count
+        for iters in range(1, info.iterations + 1):
+            _, short = brentq(f, a, b, xtol=ROOT_XTOL, maxiter=iters,
+                              full_output=True, disp=False)
+            if short.converged:
+                assert find_root(f, a, b, iters=iters).hex() == root.hex(), name
+            else:
+                with pytest.raises(SolverError, match="did not converge"):
+                    find_root(f, a, b, iters=iters)
 
 
 def test_prior_round_trip():
