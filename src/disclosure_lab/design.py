@@ -8,17 +8,20 @@ segment carries one posterior mean and a bi-pooled segment carries
 two. For two and three actions this module enumerates the candidate
 structures in closed form; for larger games it solves for one atom per
 action cell under the prior's Lorenz-curve constraints, and reads the
-segments off the binding ones. A grid LP (``lp_value``) stays as the
-oracle the exact solvers are checked against.
+segments off the binding ones, with a small dense simplex of its own.
+A grid LP (``lp_value``) stays as the oracle the exact solvers are
+checked against.
 
-Only those two LP paths need numpy and scipy, and they import them where
-they run: two and three action games solve on the standard library
-alone, and importing this module loads neither.
+Only that oracle needs numpy and scipy, and it imports them where it
+runs: every solve, whatever its number of actions, runs on the standard
+library alone, and importing this module loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING, Optional
 
 from .game import (
@@ -33,6 +36,8 @@ from .prior import (
     LP_TOL,
     MEAN_GUARD,
     NEGLIGIBLE,
+    PIVOT_CAP,
+    PIVOT_TOL,
     SNAP_TOL,
     TIE_MARGIN,
     IntervalUnion,
@@ -360,13 +365,146 @@ def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
     return best
 
 
-# Round cap of the cutting-plane loop; HiGHS at _LP_OPTS leaves Lorenz
-# violations near 3e-11, inside LP_TOL.
+# Round cap of the cutting-plane loop. _DualSimplex meets every cut to
+# within rounding, so the Lorenz violations a round leaves are the cuts'
+# own, and each round shrinks them.
 _CUT_ROUNDS = 50
-_LP_OPTS = {
-    "primal_feasibility_tolerance": LP_TOL,
-    "dual_feasibility_tolerance": LP_TOL,
-}
+
+
+class _DualSimplex:
+    """Maximise objective . x over x >= 0 under rows row . x <= bound,
+    by the primal simplex on the dual
+
+        minimise sum_j bound_j y_j over y >= 0,  sum_j y_j row_j >= objective.
+
+    The dual has one constraint per primal variable and one column per
+    primal row, so rows added after a solve are new dual columns: the
+    basis stays feasible and the next solve starts from the last
+    optimum. Column i < m is the surplus -e_i of dual constraint i, and
+    its reduced cost is x_i. The basis inverse is dense and updated at
+    each pivot. An optimum is accepted on an inverse fewer than m
+    updates old, an unbounded ray only on one refactored from the basis.
+
+    The entering column is the one of least reduced cost (Dantzig), the
+    leaving row the one of largest pivot among those that tie for the
+    least step within LP_TOL (Harris). A game with payoff ties has a
+    degenerate optimum, where an exact least step would let rounding
+    noise pick the leaving row and so the design; the tolerance lets
+    the pivot size pick instead.
+    """
+
+    def __init__(self, objective: list[float]) -> None:
+        m = self.m = len(objective)
+        self.objective = list(objective)
+        unit = [[float(r == i) for r in range(m)] for i in range(m)]
+        self.cols = [[-u for u in e] for e in unit]
+        self.bounds = [0.0] * m
+        # a row the objective pulls above zero starts on an artificial
+        # column e_i, which phase one drives out for good
+        self.basis = []
+        for i, c in enumerate(objective):
+            if c > 0.0:
+                self.basis.append(len(self.cols))
+                self.cols.append(unit[i])
+                self.bounds.append(0.0)
+            else:
+                self.basis.append(i)
+        self.first = len(self.cols)
+        self._refactor()
+
+    def add(self, row: list[float], bound: float) -> None:
+        self.cols.append(row)
+        self.bounds.append(bound)
+
+    def solve(self) -> list[float]:
+        """The optimal x, pivoting on from the last basis."""
+        m, first = self.m, self.first
+        if any(m <= j < first for j in self.basis):
+            self._run([float(m <= j < first) for j in range(len(self.cols))])
+            artificial = [r for r, j in enumerate(self.basis) if m <= j < first]
+            if sum(self.x_b[r] for r in artificial) > LP_TOL:
+                raise SolverError(
+                    "LP is unbounded or infeasible: its dual has no feasible point"
+                )
+            for r in artificial:
+                # row r of the inverse is not zero, so a surplus column
+                # can take the artificial's place at level zero
+                i = max(range(m), key=lambda i: abs(self.binv[r][i]))
+                self._pivot(r, i, [-row[i] for row in self.binv])
+        return self._run(self.bounds)
+
+    def _run(self, costs: list[float]) -> list[float]:
+        m, first, cols, basis = self.m, self.first, self.cols, self.basis
+        pivots = 0
+        while True:
+            cb = [costs[j] for j in basis]
+            pi = [sum(map(mul, cb, col)) for col in zip(*self.binv)]
+            # reduced costs of the surplus columns, then the added ones
+            rc = pi + [
+                c - sum(map(mul, pi, col))
+                for c, col in zip(costs[first:], cols[first:])
+            ]
+            k = min(range(len(rc)), key=rc.__getitem__)
+            if rc[k] >= -LP_TOL:
+                # an optimum stands on a factor fewer than m updates old
+                if self.updates < m:
+                    return pi
+                self._refactor()
+                continue
+            enter = k if k < m else k - m + first
+            d = [sum(map(mul, row, cols[enter])) for row in self.binv]
+            rows = [r for r in range(m) if d[r] > PIVOT_TOL]
+            if not rows:
+                # and an unbounded ray only on a fresh one
+                if self.updates:
+                    self._refactor()
+                    continue
+                raise SolverError("LP is infeasible: its dual is unbounded")
+            if pivots == PIVOT_CAP:
+                raise SolverError(
+                    f"LP simplex hit its cap of {PIVOT_CAP} pivots without an optimum"
+                )
+            # a row ties for the least step if every row would stay
+            # within LP_TOL of zero at its own step
+            x_b = self.x_b
+            most = min((max(x_b[r], 0.0) + LP_TOL) / d[r] for r in rows)
+            ties = [r for r in rows if max(x_b[r], 0.0) / d[r] <= most]
+            self._pivot(max(ties, key=d.__getitem__), enter, d)
+            pivots += 1
+
+    def _pivot(self, r: int, enter: int, d: list[float]) -> None:
+        binv, x_b = self.binv, self.x_b
+        head = binv[r] = [v / d[r] for v in binv[r]]
+        step = max(x_b[r], 0.0) / d[r]
+        for i in range(self.m):
+            if i != r and d[i] != 0.0:
+                binv[i] = [a - d[i] * b for a, b in zip(binv[i], head)]
+                x_b[i] -= d[i] * step
+        x_b[r] = step
+        self.basis[r] = enter
+        self.updates += 1
+
+    def _refactor(self) -> None:
+        """Basis inverse and basic values afresh, by Gauss-Jordan
+        elimination with partial pivoting."""
+        m = self.m
+        a = [
+            [self.cols[j][i] for j in self.basis] + [float(k == i) for k in range(m)]
+            for i in range(m)
+        ]
+        for c in range(m):
+            p = max(range(c, m), key=lambda i: abs(a[i][c]))
+            if abs(a[p][c]) <= PIVOT_TOL:
+                raise SolverError("LP simplex basis became singular")
+            a[c], a[p] = a[p], a[c]
+            head = a[c] = [v / a[c][c] for v in a[c]]
+            for i in range(m):
+                if i != c and a[i][c] != 0.0:
+                    f = a[i][c]
+                    a[i] = [u - f * v for u, v in zip(a[i], head)]
+        self.binv = [row[m:] for row in a]
+        self.x_b = [sum(map(mul, row, self.objective)) for row in self.binv]
+        self.updates = 0
 
 
 def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
@@ -380,51 +518,45 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
     prior's convex Lorenz curve, with slope F^-1(s) at s. Keeping each
     atom in its cell is linear, g_i p_i <= q_i <= g_{i+1} p_i, so the
     problem is an LP in (p, q) plus n - 1 convex constraints, which
-    tangent cuts to L enforce (Kleiner, Moldovanu and Strack 2021).
+    tangent cuts to L enforce (Kleiner, Moldovanu and Strack 2021). The
+    LP is solved by ``_DualSimplex`` on the standard library, each round
+    of cuts warm-started from the last optimum.
 
     Each binding k splits [0, 1] at F^-1(P_k); between splits sit one
     atom (a pool) or two (a bi-pool, Arieli et al. 2023), and
     ``_realize_segments`` recomputes both exactly from the prior.
     """
-    import numpy as np
-    from scipy.optimize import linprog
-
     prior = spec.prior
     n, g = spec.n_actions, spec.cutoffs
 
     def lorenz(s: float) -> float:
         return prior.first_moment(prior.quantile(s))
 
-    cost = np.concatenate([-np.array(spec.values), np.zeros(n)])
-    a_eq = np.kron(np.eye(2), np.ones(n))  # sum p = 1, sum q = prior mean
-    b_eq = [1.0, prior.mean]
-    eye = np.eye(n)
-    rows = [
-        np.hstack([np.diag(g[:-1]), -eye]),  # g_i p_i - q_i <= 0
-        np.hstack([-np.diag(g[1:]), eye]),  # q_i - g_{i+1} p_i <= 0
-    ]
-    rhs = [np.zeros(n), np.zeros(n)]
-    prefix = np.tril(np.ones((n - 1, n)))
+    lp = _DualSimplex(list(spec.values) + [0.0] * n)
+    ones, zeros = [1.0] * n, [0.0] * n
+    for row, bound in ((ones + zeros, 1.0), (zeros + ones, prior.mean)):
+        # sum p = 1, sum q = prior mean
+        lp.add(row, bound)
+        lp.add([-a for a in row], -bound)
+    for i in range(n):
+        unit = [float(j == i) for j in range(n)]
+        lp.add([g[i] * u for u in unit] + [-u for u in unit], 0.0)  # g_i p_i - q_i <= 0
+        lp.add([-g[i + 1] * u for u in unit] + unit, 0.0)  # q_i - g_{i+1} p_i <= 0
 
     def cut(s: float) -> None:
         # tangent at s: Q_k >= L(s) + F^-1(s) (P_k - s), for every k
         x = prior.quantile(s)
-        rows.append(np.hstack([x * prefix, -prefix]))
-        rhs.append(np.full(n - 1, x * s - lorenz(s)))
+        for k in range(1, n):
+            rest = [0.0] * (n - k)
+            lp.add([x] * k + rest + [-1.0] * k + rest, x * s - lorenz(s))
 
     # start from tangents at the cutoffs' quantiles and on an even grid
     for s in [prior.cdf(c) for c in g[1:-1]] + [j / 8.0 for j in range(1, 8)]:
         cut(s)
     for _ in range(_CUT_ROUNDS):
-        res = linprog(
-            cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-            A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
-            method="highs", options=_LP_OPTS,
-        )
-        if not res.success:
-            raise SolverError(f"commitment LP failed: {res.message}")
-        p, q = res.x[:n], res.x[n:]
-        run_p, run_q = np.cumsum(p)[:-1], np.cumsum(q)[:-1]
+        x = lp.solve()
+        p, q = x[:n], x[n:]
+        run_p, run_q = list(accumulate(p))[:-1], list(accumulate(q))[:-1]
         slack = [qk - lorenz(pk) for pk, qk in zip(run_p, run_q)]
         if min(slack) >= -LP_TOL:
             break
@@ -455,7 +587,7 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
                 close(hi)
                 group, lo = [], hi
             mean = min(max(q[i] / p[i], g[i]), g[i + 1])
-            group.append(_snap_to_cutoff(spec, float(mean)))
+            group.append(_snap_to_cutoff(spec, mean))
             split = None
         # the first binding constraint after an atom ends its segment
         if group and split is None and i < n - 1 and slack[i] <= SNAP_TOL:
@@ -564,9 +696,18 @@ def _lp_problem(spec: GameSpec, grid_size: int):
     return x, u, a_eq, b_eq, bounds, n
 
 
+# HiGHS tolerances of lp_value, the one LP left to scipy.
+_LP_OPTS = {
+    "primal_feasibility_tolerance": LP_TOL,
+    "dual_feasibility_tolerance": LP_TOL,
+}
+
+
 def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
     """Optimal value of the commitment LP on the given atom grid, the
-    oracle that tests compare the exact solvers against."""
+    oracle that tests compare the exact solvers against. It is the one
+    function of the package that needs numpy and scipy, which the
+    ``test`` extra installs; it imports them on its first call."""
     import numpy as np
     from scipy.optimize import linprog
 

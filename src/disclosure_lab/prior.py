@@ -58,9 +58,16 @@ SNAP_TOL = 1e-9
 # this much prior mass is null for incentive compatibility and for the
 # structural implementability check alike.
 AUDIT_TOL = 1e-9
-# HiGHS primal and dual feasibility, the largest Lorenz violation the
+# Primal and dual feasibility of the LP solvers (the cell LP's simplex,
+# and HiGHS in the lp_value oracle): the most a constraint, a reduced
+# cost or a phase-one residual may miss by, and the slack of the
+# simplex's ratio test. Also the largest Lorenz violation the
 # cutting-plane loop accepts, and the default of the CLI's --tol.
 LP_TOL = 1e-10
+# The cell LP's simplex pivots only on an entry above PIVOT_TOL in the
+# entering column, and one solve gives up after PIVOT_CAP pivots.
+PIVOT_TOL = 1e-9
+PIVOT_CAP = 500
 # Absolute and relative bracket width at which find_root stops; the
 # relative one is scipy's brentq default, 4 machine epsilons.
 ROOT_XTOL = 1e-15

@@ -215,11 +215,11 @@ def test_nan_residual_exits_three(capsys, monkeypatch):
 
 FOUR_CUTOFFS, FOUR_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 4.0)
 
-# Run in a fresh interpreter: 2/3-action verbs load neither numpy nor
-# scipy, and a 4-action solve afterwards imports them on demand.
+# Run in a fresh interpreter: no solve loads numpy or scipy, whatever its
+# number of actions, and the lp_value oracle imports both on demand.
 HYGIENE = f"""
 import sys
-from disclosure_lab import GameSpec, commitment_solution, uniform_prior
+from disclosure_lab import GameSpec, commitment_solution, lp_value, uniform_prior
 from disclosure_lab.cli import main
 
 def heavy():
@@ -228,14 +228,17 @@ def heavy():
 assert heavy() == [], heavy()
 for verb in ("solve", "preferred"):
     assert main([verb, {str(SPECS / "exy.json")!r}]) == 0
-assert heavy() == [], heavy()
+assert main(["app-seller", {SELLER!r}, "--then", "implementable"]) == 0
 spec = GameSpec(uniform_prior(), {FOUR_CUTOFFS!r}, {FOUR_VALUES!r})
-print(repr(commitment_solution(spec).payoff))
+payoff = commitment_solution(spec).payoff
+assert heavy() == [], heavy()
+assert lp_value(spec) >= payoff - 1e-3
 assert heavy() == ["numpy", "scipy"], heavy()
+print(repr(payoff))
 """
 
 
-def test_three_action_verbs_load_neither_numpy_nor_scipy():
+def test_no_solve_loads_numpy_or_scipy():
     src = str(Path(disclosure_lab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", HYGIENE], env=env,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from disclosure_lab import (
     GameSpec,
     MeanDistribution,
     SellerModel,
+    SolverError,
     SpecError,
     check_prop2,
     commitment_solution,
@@ -23,10 +25,15 @@ from disclosure_lab import (
     uniform_prior,
     value_at,
 )
-from disclosure_lab.design import _solve_cells
-from disclosure_lab.prior import find_root
+from disclosure_lab import design
+from disclosure_lab.design import _DualSimplex, _solve_cells
+from disclosure_lab.prior import LP_TOL, find_root
 
-from conftest import random_many_action, random_three_action
+from conftest import (
+    random_gapped_many_action,
+    random_many_action,
+    random_three_action,
+)
 
 
 def atom_locations(dist):
@@ -438,3 +445,135 @@ def test_cell_solver_matches_the_closed_forms():
             assert _solve_cells(two).payoff == pytest.approx(
                 solve_two_action(two).payoff, abs=1e-8
             )
+
+
+def test_cell_solver_on_payoff_ties():
+    """Values linear in the cutoffs make many designs optimal, and the LP
+    optimum is then degenerate. The solver must still land on a design
+    that realizes: a vertex picked by rounding noise can leave slivers
+    of mass at the cutoffs whose pools do not realize. Here atoms at 0,
+    0.25 and 0.5 pay as much as one pool at 0.25 between them."""
+    spec = GameSpec(
+        uniform_prior(), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 4.0)
+    )
+    sol = _solve_cells(spec)
+    assert sol.payoff == pytest.approx(2.5, abs=1e-12)
+    assert atom_locations(sol.distribution) == [0.25, 0.75]
+    rng = np.random.default_rng(99)
+    for _ in range(12):
+        n = int(rng.integers(4, 7))
+        cuts = np.sort(rng.choice(np.arange(1, 20), size=n - 1, replace=False)) / 20
+        slope = rng.uniform(1.0, 6.0)
+        # a value on the line slope * cutoff, or a step above the last
+        values = [0.0]
+        for c in cuts.tolist():
+            linear = rng.uniform() < 0.6 and slope * c > values[-1]
+            values.append(slope * c if linear else values[-1] + rng.uniform(0.1, 1.5))
+        spec = GameSpec(uniform_prior(), (0.0, *cuts.tolist(), 1.0), tuple(values))
+        sol = _solve_cells(spec)
+        assert sol.distribution.validate(spec.prior) == []
+        assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+        lp = lp_value(spec, 961)
+        assert lp - 2e-6 <= sol.payoff <= lp + 1e-6
+
+
+def _cell_lp(rng):
+    """A seeded LP shaped like the cell LP of ``_solve_cells``: n = 4-6
+    atoms (p, q), total mass and mean pairs, cutoff rows, and
+    prefix-sum tangent rows at 4-20 random points of the prior's Lorenz
+    curve."""
+    spec = random_many_action(rng)
+    prior, n, g = spec.prior, spec.n_actions, spec.cutoffs
+    ones, zeros = [1.0] * n, [0.0] * n
+    rows, bounds = [], []
+    for row, bound in ((ones + zeros, 1.0), (zeros + ones, prior.mean)):
+        rows += [row, [-a for a in row]]
+        bounds += [bound, -bound]
+    for i in range(n):
+        unit = [float(j == i) for j in range(n)]
+        rows += [[g[i] * u for u in unit] + [-u for u in unit],
+                 [-g[i + 1] * u for u in unit] + unit]
+        bounds += [0.0, 0.0]
+    for s in rng.uniform(0.0, 1.0, size=int(rng.integers(4, 21))).tolist():
+        x = prior.quantile(s)
+        for k in range(1, n):
+            rest = [0.0] * (n - k)
+            rows.append([x] * k + rest + [-1.0] * k + rest)
+            bounds.append(x * s - prior.first_moment(x))
+    return list(spec.values) + zeros, rows, bounds
+
+
+def _assert_matches_highs(objective, rows, bounds, x):
+    """x is feasible within LP_TOL and as good as HiGHS within 1e-9, at
+    HiGHS's feasibility tolerances of LP_TOL: at its defaults of 1e-7 it
+    gains up to 5e-7 on these LPs by missing constraints."""
+    res = linprog([-c for c in objective], A_ub=rows, b_ub=bounds,
+                  bounds=(0.0, None), method="highs", options=design._LP_OPTS)
+    assert res.success
+    assert min(x) >= -LP_TOL
+    assert max(np.dot(rows, x) - bounds) <= LP_TOL
+    assert np.dot(objective, x) == pytest.approx(-res.fun, abs=1e-9)
+
+
+def test_dual_simplex_matches_highs_on_cell_shaped_lps():
+    """Seeded LPs shaped like the cell LP, solved cold in one go and warm
+    from the optimum of their first half of rows."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        objective, rows, bounds = _cell_lp(rng)
+        cold = _DualSimplex(objective)
+        warm = _DualSimplex(objective)
+        half = len(rows) // 2
+        for row, bound in zip(rows, bounds):
+            cold.add(row, bound)
+        for row, bound in zip(rows[:half], bounds[:half]):
+            warm.add(row, bound)
+        _assert_matches_highs(objective, rows[:half], bounds[:half], warm.solve())
+        for row, bound in zip(rows[half:], bounds[half:]):
+            warm.add(row, bound)
+        _assert_matches_highs(objective, rows, bounds, cold.solve())
+        _assert_matches_highs(objective, rows, bounds, warm.solve())
+
+
+def test_dual_simplex_matches_highs_on_the_cut_loops_lps(monkeypatch):
+    """Every LP that the cut loop solves on seeded 4-6 action games,
+    on plain and on gapped priors, each warm-started from the last."""
+    seen = []
+
+    class Recording(_DualSimplex):
+        def solve(self):
+            x = super().solve()
+            seen.append((self.objective, self.cols[self.first:],
+                         self.bounds[self.first:], x))
+            return x
+
+    monkeypatch.setattr(design, "_DualSimplex", Recording)
+    for family, seed in ((random_many_action, 41), (random_gapped_many_action, 42)):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            _solve_cells(family(rng))
+    assert len(seen) > 40
+    for objective, rows, bounds, x in seen:
+        _assert_matches_highs(objective, rows, bounds, x)
+
+
+def test_dual_simplex_failures_are_typed(monkeypatch):
+    # x >= 1 and x <= 0: the dual is unbounded
+    lp = _DualSimplex([0.0])
+    lp.add([-1.0], -1.0)
+    lp.add([1.0], 0.0)
+    with pytest.raises(SolverError, match="LP is infeasible"):
+        lp.solve()
+    # max x_1 subject to x_1 - x_2 <= 1: the dual has no feasible point
+    lp = _DualSimplex([1.0, 0.0])
+    lp.add([1.0, -1.0], 1.0)
+    with pytest.raises(SolverError, match="LP is unbounded or infeasible"):
+        lp.solve()
+    # max x_1 + 2 x_2 subject to x_1 + x_2 <= 1 takes two pivots
+    monkeypatch.setattr(design, "PIVOT_CAP", 1)
+    lp = _DualSimplex([1.0, 2.0])
+    lp.add([1.0, 1.0], 1.0)
+    with pytest.raises(SolverError, match="cap of 1 pivots"):
+        lp.solve()
+    monkeypatch.setattr(design, "PIVOT_CAP", 2)
+    assert lp.solve() == [0.0, 1.0]
