@@ -96,9 +96,10 @@ def _realize_segments(
     approximate the incoming segment annotations were. A pooled segment
     whose recomputed mean falls on the wrong side of the cutoff its
     annotated mean sits on is trimmed: the left sliver is revealed and
-    the rest pooled to exactly that cutoff. Regions stop where the
-    prior's mass does, so no cell reaches through an empty tail past a
-    cutoff its states never cross.
+    the rest pooled to exactly that cutoff, or all of it revealed when
+    no mass is left to pool there. Regions stop where the prior's mass
+    does, so no cell reaches through an empty tail past a cutoff its
+    states never cross.
     """
     prior = spec.prior
     support = interval(0.0, prior.quantile(1.0))
@@ -132,9 +133,13 @@ def _realize_segments(
                 # the pool to the cutoff and reveal the leftover sliver.
                 # The region is one interval with mean below cut, so the
                 # upper window with mean cut starts inside it.
+                # When that window is empty, the whole sliver is revealed.
                 cut = spec.cutoffs[want]
                 lo, hi = region.lo, region.hi
                 x = solve_h(prior, cut, hi)
+                if prior.mass(interval(x, hi)) <= NEGLIGIBLE:
+                    reveal(region)
+                    continue
                 reveal(interval(lo, x))
                 region = interval(x, hi)
                 loc = _snap_loc(spec, prior.partial_mean(region), cut)

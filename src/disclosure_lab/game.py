@@ -17,7 +17,6 @@ from typing import Optional
 
 from .prior import (
     AUDIT_TOL,
-    CHECK_POINTS,
     INPUT_SLACK,
     MPC_TOL,
     IntervalUnion,
@@ -203,25 +202,44 @@ class MeanDistribution:
 
 
 def dominance_gap(prior: Prior, dist: MeanDistribution) -> float:
-    """Largest violation of integrated-cdf dominance on CHECK_POINTS
-    evenly spaced points.
+    """Largest violation of integrated-cdf dominance, computed exactly.
 
     Feasible distributions over posterior means are exactly the mean
     preserving contractions of the prior, i.e. those whose integrated
     cdf stays below the prior's with equality at 1. Returns the largest
-    positive gap (0 when dominance holds at every point).
+    positive gap D(x) = (integral of G) - (integral of F) over [0, 1]
+    (0 when dominance holds everywhere), or the mismatch at 1 if that
+    is larger.
+
+    Between consecutive breakpoints (0, 1, atoms and revealed ends) D is
+    affine inside a revealed piece, and elsewhere G is a constant g, so
+    D is concave with its peak where F reaches g. D is evaluated only at
+    the breakpoints and at one such peak per gap: O(atoms + revealed
+    pieces) points.
     """
-    worst = 0.0
-    for j in range(CHECK_POINTS):
-        x = j / (CHECK_POINTS - 1)
-        gap = dist.integrated_cdf(prior, x) - prior.integrated_cdf(x)
-        if gap > worst:
-            worst = gap
-    end_gap = abs(
-        dist.integrated_cdf(prior, 1.0) - prior.integrated_cdf(1.0)
+    pieces = dist.revealed.pieces if dist.revealed is not None else ()
+    ends = sorted(
+        {0.0, 1.0}
+        | {x for x, _ in dist.atoms if 0.0 < x < 1.0}
+        | {e for piece in pieces for e in piece}
     )
-    return max(worst, end_gap)
+    points = list(ends)
+    for lo, hi in zip(ends, ends[1:]):
+        if any(a <= lo and hi <= b for a, b in pieces):
+            continue
+        g = sum(p for x, p in dist.atoms if x <= lo) + sum(
+            prior.cdf(b) - prior.cdf(a) for a, b in pieces if b <= lo
+        )
+        points.append(min(max(prior.quantile(g), lo), hi))
+
+    def gap(x: float) -> float:
+        return dist.integrated_cdf(prior, x) - prior.integrated_cdf(x)
+
+    return max(0.0, *map(gap, points), abs(gap(1.0)))
 
 
 def is_mpc(prior: Prior, dist: MeanDistribution) -> bool:
+    """Whether dist is a feasible distribution of posterior means: its
+    exact dominance gap is at most MPC_TOL, and its mass and mean match
+    the prior's. One dominance_gap call, O(atoms + revealed pieces)."""
     return dominance_gap(prior, dist) <= MPC_TOL and not dist.validate(prior)

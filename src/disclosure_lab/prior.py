@@ -78,8 +78,8 @@ ROOT_RTOL = 8.881784197001252e-16
 MPC_TOL = 1e-8
 LANDING_TOL = 1e-7
 SELLER_CUT_GAP = 1e-15
-# Evenly spaced points on [0, 1] where integrated-cdf dominance is
-# checked, by dominance_gap and by the LP oracle.
+# Evenly spaced points on [0, 1] where the lp_value oracle checks
+# integrated-cdf dominance.
 CHECK_POINTS = 1001
 
 

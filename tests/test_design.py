@@ -407,6 +407,25 @@ def test_three_actions_with_an_empty_top_tail():
     assert implementable(spec).implementable
 
 
+def test_trim_reveals_a_sliver_with_nothing_left_to_pool():
+    """A pooled sliver whose mean falls just below its cutoff leaves an
+    empty upper window at that cutoff; the trim reveals the sliver
+    instead of pooling no mass, which used to raise ZeroMassError."""
+    spec = GameSpec(
+        uniform_prior(), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 4.0)
+    )
+    segments = [
+        design.Segment(interval(0.0, 0.4999924), "revealed", ()),
+        design.Segment(interval(0.4999924, 0.5), "pooling", (0.5,)),
+        design.Segment(interval(0.5, 1.0), "revealed", ()),
+    ]
+    dist = design._realize_segments(spec, segments).distribution
+    assert dist.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, dist) <= 1e-8
+    assert dist.atoms == ()
+    assert dist.revealed.pieces == ((0.0, 1.0),)
+
+
 def test_many_action_games_match_the_lp_oracle():
     """Seeded 4-6 action games: the exact solver never fails, lands
     within the grid LP's discretisation error of its value, and emits

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from disclosure_lab import (
     GameSpec,
     MeanDistribution,
+    Prior,
     SpecError,
     cheap_talk_payoff,
+    commitment_solution,
     dominance_gap,
     interval,
     is_mpc,
@@ -16,6 +19,13 @@ from disclosure_lab import (
     value_at,
 )
 from disclosure_lab.game import action_at, require_valid
+
+from conftest import (
+    random_gapped_game,
+    random_gapped_many_action,
+    random_many_action,
+    random_three_action,
+)
 
 
 def test_validate_reports_each_problem():
@@ -140,3 +150,91 @@ def test_dominance_gap_on_plinear_prior():
     pooled = MeanDistribution(((p.mean, 1.0),))
     assert dominance_gap(p, pooled) <= 1e-14
     assert_allclose(pooled.mean(p), p.mean, atol=1e-15)
+
+
+def scan_gap(prior, dist, points):
+    """Largest integrated-cdf gap on `points` evenly spaced points of
+    [0, 1], with the mismatch at 1: the audit as a grid scan."""
+    worst = 0.0
+    for j in range(points):
+        x = j / (points - 1)
+        worst = max(worst, dist.integrated_cdf(prior, x) - prior.integrated_cdf(x))
+    end = dist.integrated_cdf(prior, 1.0) - prior.integrated_cdf(1.0)
+    return max(worst, abs(end))
+
+
+def test_dominance_gap_finds_a_violation_between_grid_points():
+    """Two atoms splitting [0, 0.001] with the right mass and mean, but
+    the lower one too low: the gap peaks at 0.00065, between the points
+    0 and 0.001 of a 1001-point grid."""
+    u = uniform_prior()
+    m, low = 0.00065, 0.0003
+    high = (5e-7 - m * low) / 0.00035
+    dist = MeanDistribution(((low, m), (high, 0.00035)), revealed=interval(0.001, 1.0))
+    assert dist.validate(u) == []
+    assert scan_gap(u, dist, 1001) <= 1e-15
+    assert dominance_gap(u, dist) == pytest.approx(m * m / 2 - m * low, abs=1e-15)
+    assert not is_mpc(u, dist)
+
+
+def spread(dist, step):
+    """Each atom split into halves moved by -step and +step, clipped to
+    [0, 1]: a spread that breaks dominance wherever an atom's pool is
+    narrower than the step."""
+    return MeanDistribution(
+        tuple(
+            (min(max(x + s, 0.0), 1.0), p / 2)
+            for x, p in dist.atoms
+            for s in (-step, step)
+        ),
+        revealed=dist.revealed,
+    )
+
+
+def test_dominance_gap_bounds_every_scan():
+    """On solved designs and on the same designs with each atom split
+    0.05 either way (mostly infeasible), the exact gap is at least every
+    grid scan's, and above a 4001-point scan by no more than the
+    curvature f_max h^2 / 2 allows between its points."""
+    rng = np.random.default_rng(1010)
+    makers = (
+        random_three_action,
+        random_many_action,
+        random_gapped_game,
+        random_gapped_many_action,
+    )
+    h = 1.0 / 4000
+    for make in makers:
+        for _ in range(6):
+            spec = make(rng)
+            prior = spec.prior
+            dist = commitment_solution(spec).distribution
+            for d in (dist, spread(dist, 0.05)):
+                exact = dominance_gap(prior, d)
+                fine = scan_gap(prior, d, 4001)
+                assert exact >= scan_gap(prior, d, 1001) - 1e-15
+                assert exact >= fine - 1e-15
+                assert exact - fine <= max(prior.density) * h * h / 2
+
+
+def test_dominance_gap_evaluates_a_few_points(monkeypatch):
+    """The audit evaluates the prior's integrated cdf at O(atoms +
+    revealed pieces) distinct points, never on a grid."""
+    rng = np.random.default_rng(11)
+    specs = [random_gapped_many_action(rng) for _ in range(8)]
+    specs += [random_three_action(rng) for _ in range(4)]
+    seen = set()
+    integrated_cdf = Prior.integrated_cdf
+
+    def counted(self, x):
+        seen.add(x)
+        return integrated_cdf(self, x)
+
+    for spec in specs:
+        dist = commitment_solution(spec).distribution
+        pieces = len(dist.revealed.pieces) if dist.revealed is not None else 0
+        seen.clear()
+        monkeypatch.setattr(Prior, "integrated_cdf", counted)
+        dominance_gap(spec.prior, dist)
+        monkeypatch.undo()
+        assert 0 < len(seen) <= 2 * (len(dist.atoms) + 2 * pieces + 2) + 2
