@@ -262,29 +262,74 @@ def _three_action_candidates(spec: GameSpec):
         yield "nested", segs
 
 
+_Y_BELOW_0 = "y below 0"
+
+
+def _nested_y(spec: GameSpec, b: float) -> float | str:
+    """y of the nested structure at its free endpoint b, or the name of
+    the condition b fails: [h, b] has mean g1, [y, h] + [b, 1] mean g2."""
+    prior = spec.prior
+    g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
+    if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:
+        return "mean of [0, b] above g1"
+    h = solve_h(prior, g1, b)
+    F, M = prior.cdf, prior.first_moment
+    Fh, Mh = F(h), M(h)
+    # the top cell [y, h] + [b, 1] loses mass as y grows, down to that of
+    # [b, 1] at y = h, so its guard bounds every denominator of y_res
+    top_f, top_m = F(1.0) - F(b), M(1.0) - M(b)
+    if top_f <= MEAN_GUARD:
+        return "no mass in [b, 1]"
+
+    def y_res(y: float) -> float:
+        return ((Mh - M(y)) + top_m) / ((Fh - F(y)) + top_f) - g2
+
+    r0 = y_res(0.0)
+    if r0 > MEAN_GUARD:
+        return _Y_BELOW_0
+    rh = y_res(h)
+    if rh < -MEAN_GUARD:
+        return "y above h"
+    if r0 >= 0.0:
+        return 0.0
+    if rh <= 0.0:
+        return h
+    return find_root(y_res, 0.0, h)
+
+
 def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     """Best nested structure: [h, b] pooled at the lower cutoff g1,
     [y, h] + [b, 1] at the upper cutoff g2 and [0, y] below both, with
     h and y fixed by the free endpoint b through two mean equations.
 
-    Every feasibility condition is monotone in b, so the feasible b
-    form one interval [b_lo, b_hi]. Differentiating the mean equations
-    gives dy/db <= 0 and a payoff slope of
+    As b grows, h falls and the pool [h, b] gains mass, so y falls.
+    Every feasibility condition is monotone in b, so the feasible b form
+    one interval [b_lo, b_hi]. Differentiating the mean equations gives
+    a payoff slope of
 
         f(b) (b - h) / (g1 - h) * (v1 - v2 + v2 (g2 - g1) / (g2 - y)),
 
     so the payoff rises while y > y* = g2 - v2 (g2 - g1) / (v2 - v1)
     and falls once y < y*. The optimum is y* clipped to the range of y,
-    for every prior, zero-density stretches included. Returns the
-    optimum's y, or None when no b is feasible.
+    for every prior, zero-density stretches included.
+
+    The range of y ends at y(b_hi), where b_hi is the first of three
+    ends: b_cap, where the mean of [0, b] reaches g1; where [b, 1] runs
+    out of mass, read off ``Prior.quantile``; and where y reaches 0.
+    r0 = mean([0, h] + [b, 1]) - g2 only grows once positive, and y = 0
+    while it lies in [0, MEAN_GUARD], so when r0 is past MEAN_GUARD at
+    the lesser of the first two ends, y has reached 0 before it: one
+    solve there settles the end, with no search.
+
+    Returns the optimum's y, or None when no b is feasible or the optimum
+    is b = g1: [h, b] is then the point g1, a top-pool that pays the same.
     """
     prior = spec.prior
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
     v1, v2 = spec.values[1], spec.values[2]
-    mu = prior.mean
-    if x_hi is None or mu > g2:
+    if x_hi is None or prior.mean > g2:
         return None
-    if mu > g1:
+    if prior.mean > g1:
         b_cap = find_root(lambda b: prior.window_mean(0.0, b, b) - g1, g1, 1.0)
     else:
         b_cap = 1.0
@@ -292,66 +337,21 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     if b_cap <= b_lo + NEGLIGIBLE:
         return None
 
-    F, M = prior.cdf, prior.first_moment
-    F1, M1 = F(1.0), M(1.0)
-
-    def solve_y(b: float) -> Optional[float]:
-        # Residuals use F and M directly, not IntervalUnion and
-        # partial_mean: this is the hot loop of the three-action solver.
-        if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:
-            return None
-        h = solve_h(prior, g1, b)
-        Fb, Mb, Fh, Mh = F(b), M(b), F(h), M(h)
-
-        # the top cell [y, h] + [b, 1] loses mass as y grows, so the guard
-        # at y = h bounds every denominator of y_res
-        def top_mass(y: float) -> float:
-            return (Fh - F(y)) + (F1 - Fb)
-
-        def y_res(y: float) -> float:
-            return ((Mh - M(y)) + (M1 - Mb)) / top_mass(y) - g2
-
-        if top_mass(0.0) <= MEAN_GUARD or top_mass(h) <= MEAN_GUARD:
-            return None
-        r0 = y_res(0.0)
-        if r0 > MEAN_GUARD:
-            return None
-        rh = y_res(h)
-        if rh < -MEAN_GUARD:
-            return None
-        if r0 >= 0.0:
-            y = 0.0
-        elif rh <= 0.0:
-            y = h
-        else:
-            y = find_root(y_res, 0.0, h)
-        return y
-
-    y_lo = solve_y(b_lo)
-    if y_lo is None:
+    y_lo = _nested_y(spec, b_lo)
+    if isinstance(y_lo, str):
         return None
     y_star = g2 - v2 * (g2 - g1) / (v2 - v1)
     if y_star >= y_lo:
-        return y_lo
+        return None if b_lo == g1 else y_lo
 
-    # The range ends where y leaves [0, h] or the top cell runs out of
-    # mass, by either side depending on the game, so search on
-    # feasibility itself; y falls with b, so the least y the search
-    # meets is the end of its range. b_cap is feasible only in
-    # degenerate games, where the mean of [b, 1] is flat across a
-    # zero-density stretch around x_hi.
-    y_hi = y_lo
-
-    def inside(b: float) -> float:
-        nonlocal y_hi
-        y = solve_y(b)
-        if y is None:
-            return -1.0
-        y_hi = min(y_hi, y)
-        return 1.0
-
-    if inside(b_cap) < 0.0:
-        find_root(inside, b_lo, b_cap)
+    # at twice the guard, so the quantile's rounding keeps [b, 1] above it
+    b_mass = prior.quantile(prior.cdf(1.0) - 2.0 * MEAN_GUARD)
+    b_hi = max(b_lo, min(b_cap, b_mass))
+    y_hi = _nested_y(spec, b_hi)
+    if y_hi == _Y_BELOW_0:
+        y_hi = 0.0
+    elif isinstance(y_hi, str):
+        raise SolverError(f"nested range end b={b_hi!r} fails: {y_hi}")
     return max(y_star, y_hi)
 
 

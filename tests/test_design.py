@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,17 +21,19 @@ from disclosure_lab import (
     is_obedient,
     lp_value,
     plinear_prior,
+    preferred_ore,
     seller_to_game,
     solve_three_action,
     solve_two_action,
     uniform_prior,
     value_at,
 )
-from disclosure_lab import design
+from disclosure_lab import cli, design
 from disclosure_lab.design import _DualSimplex, _solve_cells
-from disclosure_lab.prior import LP_TOL, find_root
+from disclosure_lab.prior import LP_TOL, find_root, solve_h
 
 from conftest import (
+    random_gapped_game,
     random_gapped_many_action,
     random_many_action,
     random_three_action,
@@ -216,21 +220,127 @@ def test_nested_optimum_past_a_zero_density_gap():
         assert _beats_scan(GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2)))
 
 
-def test_nested_range_ending_inside_a_zero_density_gap():
+def _split_at_a_gap_games():
     """Cutoffs at the means of the two halves of a symmetric gapped
-    prior: the feasible b run to the end of their search range, inside
-    the gap, and the optimum splits the states at the gap, each half to
-    its own action."""
+    prior, with a top value of 1.5 or 3."""
     prior = plinear_prior(
         (0.0, 0.4, 0.41, 0.59, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
     )
     g1 = prior.partial_mean(interval(0.0, 0.5))
     g2 = prior.partial_mean(interval(0.5, 1.0))
-    for v2 in (1.5, 3.0):
-        spec = GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2))
+    return [GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2)) for v2 in (1.5, 3.0)]
+
+
+def test_nested_range_ending_inside_a_zero_density_gap():
+    """In _split_at_a_gap_games the mean of [0, b] is g1 across the gap,
+    so the nested range ends at b_cap inside it, and the optimum splits
+    the states at the gap, each half to its own action."""
+    for spec in _split_at_a_gap_games():
         sol = solve_three_action(spec)
-        assert sol.payoff == pytest.approx(0.5 + 0.5 * v2, abs=1e-12)
-        assert not sol.distribution.validate(prior)
+        assert sol.payoff == pytest.approx(0.5 + 0.5 * spec.values[2], abs=1e-12)
+        assert not sol.distribution.validate(spec.prior)
+
+
+def _nested_range_end(spec, n=201):
+    """Least y of the nested structure over its feasible b, from a scan
+    of ``_nested_y`` on an even grid of [b_lo, 1] and a bisection of the
+    grid step where feasibility ends, with the condition that fails just
+    past that end. The scan checks that the feasible b form one run from
+    b_lo, the premise of reading the end off its edges."""
+    g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
+    b_lo = max(g1, solve_h(spec.prior, g2, 1.0))
+    grid = np.linspace(b_lo, 1.0, n).tolist()
+    ys = [design._nested_y(spec, b) for b in grid]
+    run = [k for k, y in enumerate(ys) if not isinstance(y, str)]
+    assert run == list(range(len(run))), "feasible b are not one run from b_lo"
+    if len(run) == n:
+        return min(ys), None
+    k = len(run)
+    lo, hi, least = grid[k - 1], grid[k], ys[k - 1]
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        y = design._nested_y(spec, mid)
+        if isinstance(y, str):
+            hi = mid
+        else:
+            lo, least = mid, min(least, y)
+    return least, design._nested_y(spec, hi)
+
+
+def test_nested_range_ends_where_its_edges_say():
+    """On seeded uniform and gapped games, and on _split_at_a_gap_games,
+    whose range ends at b_cap, the nested optimum is y* clipped at the
+    least y a scan of the feasible b reaches. Between them the games end
+    the range at all three of its ends: where y reaches 0, where [b, 1]
+    runs out of mass and where the mean of [0, b] reaches g1."""
+    specs = _split_at_a_gap_games()
+    rng = np.random.default_rng(7)
+    specs += [random_three_action(rng) for _ in range(25)]
+    rng = np.random.default_rng(11)
+    specs += [random_gapped_game(rng) for _ in range(60)]
+    ends = set()
+    for spec in specs:
+        g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
+        v1, v2 = spec.values[1], spec.values[2]
+        if spec.prior.mean > g2:
+            continue
+        x_hi = solve_h(spec.prior, g2, 1.0)
+        y = design._best_nested(spec, x_hi)
+        y_lo = design._nested_y(spec, max(g1, x_hi))
+        y_star = g2 - v2 * (g2 - g1) / (v2 - v1)
+        if y is None or y_star >= y_lo:
+            continue
+        least, end = _nested_range_end(spec)
+        ends.add(end)
+        assert y == pytest.approx(max(y_star, least), abs=1e-9)
+    assert ends >= {"y below 0", "no mass in [b, 1]", "mean of [0, b] above g1"}
+
+
+# Two games whose nested optimum is b = g1, where [h, b] is the point g1
+# and pools no mass, so no bi-pool of that structure has an inner window.
+DEGENERATE_NESTED = [
+    ((0.0, 0.04374683213943309, 0.9380953625949208, 1.0),
+     (33.09123455337026, 0.0, 0.0, 8.92280998421262),
+     (0.0, 0.3441379224095804, 0.5073545207558579, 1.0),
+     (0.0, 1.950403112446276, 7.10770603694621)),
+    ((0.0, 0.03261170563786472, 0.6654236812752549, 1.0),
+     (1.3570523035000568, 0.5730976531987443, 1.4503923401043186, 0.0),
+     (0.0, 0.6639048478206616, 0.6944733776248913, 1.0),
+     (0.0, 0.8821177430816161, 2.531115409868669)),
+]
+
+
+@pytest.mark.parametrize("knots, density, cutoffs, values", DEGENERATE_NESTED)
+def test_degenerate_nested_optimum_solves(knots, density, cutoffs, values, capsys):
+    """The degenerate nested structure is top-pool with its bottom pooled
+    below g1 and pays the same, so every verb solves the game with a
+    feasible design that the grid LP does not beat."""
+    spec = GameSpec(plinear_prior(knots, density), cutoffs, values)
+    sol = commitment_solution(spec)
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+    lp = lp_value(spec, 961)
+    assert lp - 1e-6 <= sol.payoff <= lp + 1e-9
+    assert implementable(spec).commitment_payoff == sol.payoff
+    preferred_ore(spec)
+    assert cli.main(["solve", json.dumps(spec.to_obj())]) == 0
+
+
+def test_three_action_solves_make_few_window_solves(gk2016, exs, exy, monkeypatch):
+    """A cost guard that needs no clock: the nested optimum reads the end
+    of its b range off the range's edges, so a three-action solve makes
+    a handful of solve_h calls, where a search over b would make dozens."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_h(*args)
+
+    monkeypatch.setattr(design, "solve_h", counting)
+    for spec in (gk2016, exs, exy):
+        calls.clear()
+        commitment_solution(spec)
+        assert len(calls) <= 10, len(calls)
 
 
 def test_lp_value_close_to_structural(gk2016, exy):
