@@ -47,9 +47,10 @@ from .game import (
     MeanDistribution,
     cheap_talk_payoff,
     dominance_gap,
+    is_mpc,
     unraveling_payoff,
 )
-from .prior import LP_TOL, NEGLIGIBLE, Prior, SolverError, SpecError
+from .prior import NEGLIGIBLE, Prior, SolverError, SpecError
 from .representation import DeterministicRepresentation, representation_payoff
 
 log = logging.getLogger("disclosure_lab.cli")
@@ -300,7 +301,7 @@ def _solve_out(spec: GameSpec, args) -> dict:
         "segments": _segments_obj(sol.segments),
         "canonical": sol.canonical.to_obj(),
         "dominance_gap": gap,
-        "feasible": gap <= args.tol,
+        "feasible": is_mpc(spec.prior, sol.distribution),
     }
     if args.csv:
         _write_steps(args.csv, spec)
@@ -493,12 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "input", help="path to a JSON file, or the JSON text itself"
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=LP_TOL,
-        help="tolerance for the feasibility audit of emitted distributions",
     )
     common.add_argument(
         "--csv", default=None, metavar="DIR", help="write plot data into DIR"

@@ -41,6 +41,7 @@ from .prior import (
     SNAP_TOL,
     TIE_MARGIN,
     IntervalUnion,
+    Prior,
     SolverError,
     SpecError,
     find_root,
@@ -134,9 +135,11 @@ def _realize_segments(
                 # The region is one interval with mean below cut, so the
                 # upper window with mean cut starts inside it.
                 # When that window is empty, the whole sliver is revealed.
+                # Where the window's mean falls short by rounding, its
+                # start lands below lo and is clamped there.
                 cut = spec.cutoffs[want]
                 lo, hi = region.lo, region.hi
-                x = solve_h(prior, cut, hi)
+                x = max(solve_h(prior, cut, hi), lo)
                 if prior.mass(interval(x, hi)) <= NEGLIGIBLE:
                     reveal(region)
                     continue
@@ -196,61 +199,49 @@ def _realize_segments(
     )
 
 
-def solve_two_action(spec: GameSpec) -> BiPoolingSolution:
-    require_valid(spec)
-    if spec.n_actions != 2:
-        raise SpecError("solve_two_action needs exactly two actions")
-    prior = spec.prior
-    g1 = spec.cutoffs[1]
-    if prior.mean >= g1:
-        return _realize_segments(
-            spec, [Segment(interval(0.0, 1.0), "pooling", (prior.mean,))]
-        )
-    x = solve_h(prior, g1, 1.0)
-    segs = []
-    if x > NEGLIGIBLE:
-        segs.append(Segment(interval(0.0, x), "revealed", ()))
-    segs.append(Segment(interval(x, 1.0), "pooling", (g1,)))
-    return _realize_segments(spec, segs)
+def _top_pool(prior: Prior, g: float) -> tuple[float, list[Segment]]:
+    """Reveal the bottom and pool the top to exactly the cutoff g: the
+    window [x, 1] with mean g, and its lower end x."""
+    x = solve_h(prior, g, 1.0)
+    return x, [
+        Segment(interval(0.0, x), "revealed", ()),
+        Segment(interval(x, 1.0), "pooling", (g,)),
+    ]
 
 
-def _three_action_candidates(spec: GameSpec):
-    """Candidate segment structures for the three-action problem.
+def _small_game_candidates(spec: GameSpec):
+    """Candidate segment structures for two and three actions.
 
     Yields (name, segments) in order of structural simplicity; the
     caller keeps the best payoff with ties resolved toward the earlier
-    candidate.
+    candidate. "top-pool" pools to the top action's cutoff; a
+    three-action game adds "two-pools", "skip-top" (the top pool at g1)
+    and "nested".
     """
     prior = spec.prior
-    g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
+    g1, g_top = spec.cutoffs[1], spec.cutoffs[-2]
     mu = prior.mean
 
     yield "full-pool", [Segment(interval(0.0, 1.0), "pooling", (mu,))]
 
-    if mu <= g2:
-        x_hi = solve_h(prior, g2, 1.0)
+    x_hi = None
+    if mu <= g_top:
+        x_hi, top = _top_pool(prior, g_top)
         if x_hi > NEGLIGIBLE:
-            # reveal below, pool the top to exactly g2
-            yield "top-pool", [
-                Segment(interval(0.0, x_hi), "revealed", ()),
-                Segment(interval(x_hi, 1.0), "pooling", (g2,)),
-            ]
-            low = interval(0.0, x_hi)
-            if prior.partial_mean(low) >= g1:
+            yield "top-pool", top
+            low = top[0].outer
+            if spec.n_actions == 3 and prior.partial_mean(low) >= g1:
                 yield "two-pools", [
                     Segment(low, "pooling", (prior.partial_mean(low),)),
-                    Segment(interval(x_hi, 1.0), "pooling", (g2,)),
+                    top[1],
                 ]
-    else:
-        x_hi = None
+    if spec.n_actions == 2:
+        return
 
     if mu <= g1:
-        x_lo = solve_h(prior, g1, 1.0)
+        x_lo, skip = _top_pool(prior, g1)
         if x_lo > NEGLIGIBLE:
-            yield "skip-top", [
-                Segment(interval(0.0, x_lo), "revealed", ()),
-                Segment(interval(x_lo, 1.0), "pooling", (g1,)),
-            ]
+            yield "skip-top", skip
 
     y = _best_nested(spec, x_hi)
     if y is not None:
@@ -258,16 +249,17 @@ def _three_action_candidates(spec: GameSpec):
         if prior.cdf(y) > NEGLIGIBLE:
             segs.append(Segment(interval(0.0, y), "pooling",
                                 (prior.partial_mean(interval(0.0, y)),)))
-        segs.append(Segment(interval(y, 1.0), "bipooling", (g1, g2)))
+        segs.append(Segment(interval(y, 1.0), "bipooling", (g1, g_top)))
         yield "nested", segs
 
 
 _Y_BELOW_0 = "y below 0"
 
 
-def _nested_y(spec: GameSpec, b: float) -> float | str:
-    """y of the nested structure at its free endpoint b, or the name of
-    the condition b fails: [h, b] has mean g1, [y, h] + [b, 1] mean g2."""
+def _nested_y(spec: GameSpec, b: float) -> tuple[float, float] | str:
+    """(h, y) of the nested structure at its free endpoint b, or the name
+    of the condition b fails: [h, b] has mean g1, [y, h] + [b, 1] mean g2.
+    At b = g2 it is the interior family of the preferred equilibrium."""
     prior = spec.prior
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
     if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:
@@ -291,10 +283,10 @@ def _nested_y(spec: GameSpec, b: float) -> float | str:
     if rh < -MEAN_GUARD:
         return "y above h"
     if r0 >= 0.0:
-        return 0.0
+        return h, 0.0
     if rh <= 0.0:
-        return h
-    return find_root(y_res, 0.0, h)
+        return h, h
+    return h, find_root(y_res, 0.0, h)
 
 
 def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
@@ -337,9 +329,10 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     if b_cap <= b_lo + NEGLIGIBLE:
         return None
 
-    y_lo = _nested_y(spec, b_lo)
-    if isinstance(y_lo, str):
+    lo_end = _nested_y(spec, b_lo)
+    if isinstance(lo_end, str):
         return None
+    y_lo = lo_end[1]
     y_star = g2 - v2 * (g2 - g1) / (v2 - v1)
     if y_star >= y_lo:
         return None if b_lo == g1 else y_lo
@@ -347,27 +340,37 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
     # at twice the guard, so the quantile's rounding keeps [b, 1] above it
     b_mass = prior.quantile(prior.cdf(1.0) - 2.0 * MEAN_GUARD)
     b_hi = max(b_lo, min(b_cap, b_mass))
-    y_hi = _nested_y(spec, b_hi)
-    if y_hi == _Y_BELOW_0:
-        y_hi = 0.0
-    elif isinstance(y_hi, str):
-        raise SolverError(f"nested range end b={b_hi!r} fails: {y_hi}")
-    return max(y_star, y_hi)
+    hi_end = _nested_y(spec, b_hi)
+    if hi_end == _Y_BELOW_0:
+        return max(y_star, 0.0)
+    if isinstance(hi_end, str):
+        raise SolverError(f"nested range end b={b_hi!r} fails: {hi_end}")
+    return max(y_star, hi_end[1])
 
 
-def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
-    """Exact commitment optimum for three actions by enumerating the
-    candidate segment structures and keeping the best realized payoff."""
+def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
+    """Exact commitment optimum for two or three actions: the best
+    realized payoff among the candidate segment structures."""
     require_valid(spec)
-    if spec.n_actions != 3:
-        raise SpecError("solve_three_action needs exactly three actions")
+    if spec.n_actions != n_actions:
+        raise SpecError(f"this solver needs exactly {n_actions} actions")
     best: Optional[BiPoolingSolution] = None
-    for _, segs in _three_action_candidates(spec):
+    for _, segs in _small_game_candidates(spec):
         sol = _realize_segments(spec, segs)
         if best is None or sol.payoff > best.payoff + TIE_MARGIN:
             best = sol
     assert best is not None
     return best
+
+
+def solve_two_action(spec: GameSpec) -> BiPoolingSolution:
+    """Exact commitment optimum for two actions."""
+    return _solve_small_game(spec, 2)
+
+
+def solve_three_action(spec: GameSpec) -> BiPoolingSolution:
+    """Exact commitment optimum for three actions."""
+    return _solve_small_game(spec, 3)
 
 
 # Round cap of the cutting-plane loop. _DualSimplex meets every cut to

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .design import BiPoolingSolution, commitment_solution
+from .design import BiPoolingSolution, _nested_y, commitment_solution
 from .game import GameSpec, require_valid, unraveling_payoff
 from .prior import (
     AUDIT_TOL,
@@ -171,32 +171,30 @@ def _preferred_candidates(spec: GameSpec):
     prior = spec.prior
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
 
-    # interior family: B_1 = [h, g2] pinned to mean g1, top cell mean g2
-    h = solve_h(prior, g1, g2)
-    fam = lambda y: IntervalUnion(((y, h), (g2, 1.0)))
-    if prior.mass(fam(0.0)) > MEAN_GUARD:
-        r0 = prior.partial_mean(fam(0.0)) - g2
-        if r0 <= MEAN_GUARD:
-            if r0 >= 0.0:
-                y = 0.0
-            else:
-                y = find_root(lambda t: prior.partial_mean(fam(t)) - g2, 0.0, h)
-            if h - y > NEGLIGIBLE:
-                top = IntervalUnion(((y, h), (g2, 1.0)))
-            else:
-                top = interval(g2, 1.0)
-            cells = (
-                interval(0.0, y) if y > NEGLIGIBLE else _anchor(spec, 0),
-                interval(h, g2),
-                top,
-            )
-            yield DeterministicRepresentation(cells)
+    # interior family: the nested structure at b = g2, so B_1 = [h, g2]
+    # has mean g1 and the top cell [y, h] + [g2, 1] mean g2
+    nested = _nested_y(spec, g2)
+    if not isinstance(nested, str):
+        h, y = nested
+        if h - y > NEGLIGIBLE:
+            top = IntervalUnion(((y, h), (g2, 1.0)))
+        else:
+            top = interval(g2, 1.0)
+        cells = (
+            interval(0.0, y) if y > NEGLIGIBLE else _anchor(spec, 0),
+            interval(h, g2),
+            top,
+        )
+        yield DeterministicRepresentation(cells)
 
     # corner family: no low cell, top cell [0, h'] + [g2, 1] at mean g2
-    def corner_res(t: float) -> float:
-        return prior.partial_mean(IntervalUnion(((0.0, t), (g2, 1.0)))) - g2
+    F, M = prior.cdf, prior.first_moment
+    top_f, top_m = F(1.0) - F(g2), M(1.0) - M(g2)
 
-    if corner_res(0.0) > 0.0 and corner_res(g2) < 0.0:
+    def corner_res(t: float) -> float:
+        return (M(t) + top_m) / (F(t) + top_f) - g2
+
+    if top_f > MEAN_GUARD and corner_res(0.0) > 0.0 and corner_res(g2) < 0.0:
         h2 = find_root(corner_res, 0.0, g2)
         cells = (
             _anchor(spec, 0),

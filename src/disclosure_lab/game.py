@@ -51,9 +51,6 @@ class GameSpec:
     def cell(self, i: int) -> IntervalUnion:
         return interval(self.cutoffs[i], self.cutoffs[i + 1])
 
-    def cells(self) -> list[IntervalUnion]:
-        return [self.cell(i) for i in range(self.n_actions)]
-
     def to_obj(self) -> dict:
         return {
             "prior": self.prior.to_obj(),
@@ -111,8 +108,7 @@ def value_at(spec: GameSpec, x: float) -> float:
     At an interior cutoff the receiver takes the higher action, and
     x = 1 selects the top one.
     """
-    i = bisect_right(spec.cutoffs, x) - 1
-    return spec.values[min(max(i, 0), spec.n_actions - 1)]
+    return spec.values[action_at(spec, x)]
 
 
 def action_at(spec: GameSpec, x: float) -> int:

@@ -62,7 +62,7 @@ AUDIT_TOL = 1e-9
 # and HiGHS in the lp_value oracle): the most a constraint, a reduced
 # cost or a phase-one residual may miss by, and the slack of the
 # simplex's ratio test. Also the largest Lorenz violation the
-# cutting-plane loop accepts, and the default of the CLI's --tol.
+# cutting-plane loop accepts.
 LP_TOL = 1e-10
 # The cell LP's simplex pivots only on an entry above PIVOT_TOL in the
 # entering column, and one solve gives up after PIVOT_CAP pivots.
@@ -506,4 +506,8 @@ def solve_h(prior: Prior, target: float, hi: float) -> float:
 
     if residual(0.0) >= 0.0:
         return 0.0
+    # the mean of [target, hi] is at least target, so a residual at or
+    # below zero there is rounding, as on a window of next to no mass
+    if residual(target) <= 0.0:
+        return target
     return find_root(residual, 0.0, target)

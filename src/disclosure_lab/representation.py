@@ -223,18 +223,14 @@ def nested_interval_rep(
     if mass_in <= NO_MEAN_MASS:
         return NestedPair(outer, IntervalUnion.empty(), z_lo, z_hi)
 
-    def window_hi(p: float) -> float:
-        if prior.mass(outer.intersect(interval(p, hi))) <= mass_in:
-            return hi
-        return find_root(
-            lambda q: prior.mass(outer.intersect(interval(p, q))) - mass_in,
-            p,
-            hi,
-        )
+    F = prior.cdf
 
-    p_max = find_root(
-        lambda p: prior.mass(outer.intersect(interval(p, hi))) - mass_in, lo, hi
-    )
+    def window_hi(p: float) -> float:
+        if F(hi) - F(p) <= mass_in:
+            return hi
+        return find_root(lambda q: F(q) - F(p) - mass_in, p, hi)
+
+    p_max = find_root(lambda p: F(hi) - F(p) - mass_in, lo, hi)
 
     def residual(p: float) -> float:
         return prior.window_mean(p, window_hi(p), p) - z_lo

@@ -80,3 +80,31 @@ def random_gapped_many_action(rng: np.random.Generator) -> GameSpec:
     random_gapped_prior."""
     game = random_many_action(rng)
     return GameSpec(random_gapped_prior(rng), game.cutoffs, game.values)
+
+
+# Two games whose top window is a sliver. In the first, the window
+# [g2, 1] is a tail of next to no mass whose mean rounds below g2. In
+# the second, the pool at g1, clipped to the prior's support, has its
+# mean below g1, and the window that would pin it to g1 starts below
+# the pool.
+SLIVER_WINDOW_GAMES = [
+    {
+        "prior": {
+            "kind": "plinear",
+            "knots": [0.0, 0.4530856972490114, 1.0],
+            "density": [1.0, 0.0, 0.0],
+        },
+        "cutoffs": [0.0, 0.23453247435155913, 0.4530841141134507, 1.0],
+        "values": [0.0, 1.2595775021323563, 2.200195567515387],
+    },
+    {
+        "prior": {
+            "kind": "plinear",
+            "knots": [0.0, 0.32364252691333606, 0.7607321217035773,
+                      0.80304138205819, 1.0],
+            "density": [1.7074798664442898, 1e-13, 1e-13, 1e-13, 1e-13],
+        },
+        "cutoffs": [0.0, 0.40384666243898026, 0.5915967736380696, 1.0],
+        "values": [0.0, 0.5382906430582406, 0.7029606176615811],
+    },
+]

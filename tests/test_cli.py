@@ -21,6 +21,8 @@ from disclosure_lab import (
 )
 from disclosure_lab import cli
 
+from conftest import SLIVER_WINDOW_GAMES
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -123,6 +125,15 @@ def test_suffcond_on_a_prior_that_ends_early(capsys):
     code, out, _ = run(capsys, "suffcond", spec)
     assert code == 0
     assert json.loads(out)["nam"] == [False]
+
+
+@pytest.mark.parametrize("game", SLIVER_WINDOW_GAMES)
+@pytest.mark.parametrize("verb", ["solve", "implementable", "preferred", "payoff-set"])
+def test_sliver_top_windows_exit_zero(capsys, game, verb):
+    code, out, err = run(capsys, verb, json.dumps(game))
+    assert code == 0, err
+    if verb == "solve":
+        assert json.loads(out)["feasible"] is True
 
 
 def test_preferred_round_trips_representation(capsys):

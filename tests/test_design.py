@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from disclosure_lab import (
     GameSpec,
+    IntervalUnion,
     MeanDistribution,
     SellerModel,
     SolverError,
@@ -28,11 +29,13 @@ from disclosure_lab import (
     uniform_prior,
     value_at,
 )
-from disclosure_lab import cli, design
+from disclosure_lab import cli, design, equilibrium, representation
+from disclosure_lab import prior as prior_module
 from disclosure_lab.design import _DualSimplex, _solve_cells
 from disclosure_lab.prior import LP_TOL, find_root, solve_h
 
 from conftest import (
+    SLIVER_WINDOW_GAMES,
     random_gapped_game,
     random_gapped_many_action,
     random_many_action,
@@ -241,6 +244,12 @@ def test_nested_range_ending_inside_a_zero_density_gap():
         assert not sol.distribution.validate(spec.prior)
 
 
+def _nested_y_at(spec, b):
+    """y of ``_nested_y`` at b, or the name of the condition b fails."""
+    end = design._nested_y(spec, b)
+    return end if isinstance(end, str) else end[1]
+
+
 def _nested_range_end(spec, n=201):
     """Least y of the nested structure over its feasible b, from a scan
     of ``_nested_y`` on an even grid of [b_lo, 1] and a bisection of the
@@ -250,7 +259,7 @@ def _nested_range_end(spec, n=201):
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
     b_lo = max(g1, solve_h(spec.prior, g2, 1.0))
     grid = np.linspace(b_lo, 1.0, n).tolist()
-    ys = [design._nested_y(spec, b) for b in grid]
+    ys = [_nested_y_at(spec, b) for b in grid]
     run = [k for k, y in enumerate(ys) if not isinstance(y, str)]
     assert run == list(range(len(run))), "feasible b are not one run from b_lo"
     if len(run) == n:
@@ -259,12 +268,12 @@ def _nested_range_end(spec, n=201):
     lo, hi, least = grid[k - 1], grid[k], ys[k - 1]
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        y = design._nested_y(spec, mid)
+        y = _nested_y_at(spec, mid)
         if isinstance(y, str):
             hi = mid
         else:
             lo, least = mid, min(least, y)
-    return least, design._nested_y(spec, hi)
+    return least, _nested_y_at(spec, hi)
 
 
 def test_nested_range_ends_where_its_edges_say():
@@ -286,7 +295,7 @@ def test_nested_range_ends_where_its_edges_say():
             continue
         x_hi = solve_h(spec.prior, g2, 1.0)
         y = design._best_nested(spec, x_hi)
-        y_lo = design._nested_y(spec, max(g1, x_hi))
+        y_lo = _nested_y_at(spec, max(g1, x_hi))
         y_star = g2 - v2 * (g2 - g1) / (v2 - v1)
         if y is None or y_star >= y_lo:
             continue
@@ -341,6 +350,58 @@ def test_three_action_solves_make_few_window_solves(gk2016, exs, exy, monkeypatc
         calls.clear()
         commitment_solution(spec)
         assert len(calls) <= 10, len(calls)
+
+
+@pytest.mark.parametrize("game", SLIVER_WINDOW_GAMES)
+def test_sliver_top_windows_solve(game):
+    """A top window of next to no mass is solved where its mean falls
+    short of its cutoff by rounding, and the design is feasible and no
+    better than the grid LP allows."""
+    spec = GameSpec.from_obj(game)
+    sol = commitment_solution(spec)
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+    assert sol.payoff <= lp_value(spec, 961) + 1e-9
+    assert implementable(spec).commitment_payoff == sol.payoff
+    preferred_ore(spec)
+
+
+def test_no_root_finder_residual_builds_an_interval_union(
+    gk2016, exs, exy, monkeypatch
+):
+    """Every residual the three solves hand to find_root is written on
+    the prior's cdf and first moment: none builds an IntervalUnion, whose
+    normalisation would run at every root-finder step."""
+    depth, built = [0], []
+    post_init = IntervalUnion.__post_init__
+
+    def counting_post_init(self):
+        if depth[0]:
+            built.append(self.pieces)
+        post_init(self)
+
+    def counted(find_root):
+        def wrapped(f, a, b, **kwargs):
+            def residual(x):
+                depth[0] += 1
+                try:
+                    return f(x)
+                finally:
+                    depth[0] -= 1
+
+            return find_root(residual, a, b, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(IntervalUnion, "__post_init__", counting_post_init)
+    for module in (prior_module, design, equilibrium, representation):
+        monkeypatch.setattr(module, "find_root", counted(module.find_root))
+    rng = np.random.default_rng(11)
+    for spec in [gk2016, exs, exy] + [random_gapped_game(rng) for _ in range(20)]:
+        commitment_solution(spec)
+        implementable(spec)
+        preferred_ore(spec)
+    assert built == []
 
 
 def test_lp_value_close_to_structural(gk2016, exy):
