@@ -1,129 +1,57 @@
-"""Solvers for verifiable disclosure games driven by posterior means."""
+"""Solvers for verifiable disclosure games driven by posterior means.
 
-from .prior import (
-    IntervalUnion,
-    Prior,
-    SolverError,
-    SpecError,
-    ZeroMassError,
-    interval,
-    plinear_prior,
-    solve_h,
-    uniform_prior,
-)
-from .game import (
-    GameSpec,
-    MeanDistribution,
-    cheap_talk_payoff,
-    dominance_gap,
-    is_mpc,
-    unraveling_payoff,
-    validate,
-    value_at,
-)
-from .representation import (
-    DeterministicRepresentation,
-    NestedPair,
-    check_prop2,
-    feasible_bipool,
-    induced_distribution,
-    is_incentive_compatible,
-    is_laminar,
-    is_obedient,
-    nested_interval_rep,
-    representation_payoff,
-)
-from .design import (
-    BiPoolingSolution,
-    Segment,
-    commitment_solution,
-    lp_value,
-    solve_three_action,
-    solve_two_action,
-)
-from .equilibrium import (
-    ImplementabilityReport,
-    OREAudit,
-    OREResult,
-    check_c3i,
-    check_cni,
-    check_nam,
-    implementable,
-    ore_at_payoff,
-    payoff_bounds,
-    preferred_ore,
-    sweep_representation,
-    verify_ore,
-)
-from .apps import (
-    PrudenceReport,
-    SellerModel,
-    SweepResult,
-    SweepRow,
-    Voter,
-    VotingModel,
-    check_prudence,
-    seller_to_game,
-    voting_comparative_statics,
-    voting_to_game,
-)
+Names are exported lazily (PEP 562): ``import disclosure_lab`` loads no
+submodule, and the first access to a name imports its home module.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoolingSolution",
-    "DeterministicRepresentation",
-    "GameSpec",
-    "ImplementabilityReport",
-    "IntervalUnion",
-    "MeanDistribution",
-    "NestedPair",
-    "OREAudit",
-    "OREResult",
-    "Prior",
-    "PrudenceReport",
-    "Segment",
-    "SellerModel",
-    "SolverError",
-    "SpecError",
-    "SweepResult",
-    "SweepRow",
-    "Voter",
-    "VotingModel",
-    "ZeroMassError",
-    "check_c3i",
-    "check_cni",
-    "check_nam",
-    "check_prop2",
-    "check_prudence",
-    "cheap_talk_payoff",
-    "commitment_solution",
-    "dominance_gap",
-    "feasible_bipool",
-    "implementable",
-    "induced_distribution",
-    "interval",
-    "is_incentive_compatible",
-    "is_laminar",
-    "is_mpc",
-    "is_obedient",
-    "lp_value",
-    "nested_interval_rep",
-    "ore_at_payoff",
-    "payoff_bounds",
-    "plinear_prior",
-    "preferred_ore",
-    "representation_payoff",
-    "seller_to_game",
-    "solve_h",
-    "solve_three_action",
-    "solve_two_action",
-    "sweep_representation",
-    "uniform_prior",
-    "unraveling_payoff",
-    "validate",
-    "value_at",
-    "verify_ore",
-    "voting_comparative_statics",
-    "voting_to_game",
-]
+# Each home module and the names it exports.
+_EXPORTS = {
+    "prior": (
+        "IntervalUnion", "Prior", "SolverError", "SpecError", "ZeroMassError",
+        "interval", "plinear_prior", "solve_h", "uniform_prior",
+    ),
+    "game": (
+        "GameSpec", "MeanDistribution", "cheap_talk_payoff", "dominance_gap",
+        "is_mpc", "unraveling_payoff", "validate", "value_at",
+    ),
+    "representation": (
+        "DeterministicRepresentation", "NestedPair", "check_prop2",
+        "feasible_bipool", "induced_distribution", "is_incentive_compatible",
+        "is_laminar", "is_obedient", "nested_interval_rep",
+        "representation_payoff",
+    ),
+    "design": (
+        "BiPoolingSolution", "Segment", "commitment_solution", "lp_value",
+        "solve_three_action", "solve_two_action",
+    ),
+    "equilibrium": (
+        "ImplementabilityReport", "OREAudit", "OREResult", "check_c3i",
+        "check_cni", "check_nam", "implementable", "ore_at_payoff",
+        "payoff_bounds", "preferred_ore", "sweep_representation", "verify_ore",
+    ),
+    "apps": (
+        "PrudenceReport", "SellerModel", "SweepResult", "SweepRow", "Voter",
+        "VotingModel", "check_prudence", "seller_to_game",
+        "voting_comparative_statics", "voting_to_game",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,34 +14,13 @@ success), 2 when the input fails to parse or violates its schema, and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import logging
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .apps import (
-    SellerModel,
-    SweepResult,
-    Voter,
-    VotingModel,
-    check_prudence,
-    seller_to_game,
-    voting_comparative_statics,
-    voting_to_game,
-)
-from .design import commitment_solution
-from .equilibrium import (
-    check_c3i,
-    check_cni,
-    check_nam,
-    implementable,
-    ore_at_payoff,
-    preferred_ore,
-    sweep_representation,
-    verify_ore,
-)
+# Only the prior and game layers load with the CLI; each handler imports
+# the solvers it runs, so a process pays for its verb alone.
 from .game import (
     GameSpec,
     MeanDistribution,
@@ -51,15 +30,20 @@ from .game import (
     unraveling_payoff,
 )
 from .prior import NEGLIGIBLE, Prior, SolverError, SpecError
-from .representation import DeterministicRepresentation, representation_payoff
 
-log = logging.getLogger("disclosure_lab.cli")
+if TYPE_CHECKING:
+    from .apps import SellerModel, SweepResult, VotingModel
+    from .representation import DeterministicRepresentation
 
-_LOG_LEVELS = {
-    "quiet": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+
+def _info(msg: str, *args) -> None:
+    """Log at info level, only while DISCLOSURE_LAB_LOG is set: without
+    it ``logging`` is never imported, whatever an earlier call set up."""
+    if "DISCLOSURE_LAB_LOG" in os.environ:
+        import logging
+
+        logging.getLogger("disclosure_lab.cli").info(msg, *args)
+
 
 def _fmt(x: float) -> str:
     """Floats at 12 significant digits; below solver tolerance and
@@ -127,6 +111,8 @@ def _load_spec(arg: str) -> GameSpec:
 
 
 def _load_seller(obj) -> SellerModel:
+    from .apps import SellerModel
+
     if not isinstance(obj, dict):
         raise SpecError("seller model must be a JSON object")
     missing = [k for k in ("utility", "price") if k not in obj]
@@ -148,6 +134,8 @@ def _load_seller(obj) -> SellerModel:
 
 
 def _load_voting(obj) -> VotingModel:
+    from .apps import Voter, VotingModel
+
     if not isinstance(obj, dict):
         raise SpecError("voting model must be a JSON object")
     missing = [k for k in ("voters", "v_ab", "v_b") if k not in obj]
@@ -217,6 +205,8 @@ def _csv_path(directory: str, name: str) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    import csv
+
     def cell(v):
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -229,7 +219,7 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell(v) for v in row])
-    log.info("wrote %s", path)
+    _info("wrote %s", path)
 
 
 def _write_steps(directory: str, spec: GameSpec) -> None:
@@ -264,6 +254,9 @@ def _write_intervals(
 
 
 def _write_payoff_sweep(directory: str, spec: GameSpec) -> None:
+    from .equilibrium import preferred_ore, sweep_representation
+    from .representation import representation_payoff
+
     base = preferred_ore(spec).rep
     z_hi = spec.cutoffs[spec.n_actions - 1]
     rows = []
@@ -287,10 +280,12 @@ def _write_voting_sweep(directory: str, result: SweepResult) -> None:
 
 
 def _solve_out(spec: GameSpec, args) -> dict:
+    from .design import commitment_solution
+
     if spec.n_actions <= 3:
-        log.info("structural solver, %d actions", spec.n_actions)
+        _info("structural solver, %d actions", spec.n_actions)
     else:
-        log.info("Lorenz-cut cell solver, %d actions", spec.n_actions)
+        _info("Lorenz-cut cell solver, %d actions", spec.n_actions)
     sol = commitment_solution(spec)
     gap = dominance_gap(spec.prior, sol.distribution)
     out = {
@@ -310,6 +305,8 @@ def _solve_out(spec: GameSpec, args) -> dict:
 
 
 def _implementable_out(spec: GameSpec, args) -> dict:
+    from .equilibrium import implementable
+
     report = implementable(spec)
     out = {
         "verb": "implementable",
@@ -325,6 +322,8 @@ def _implementable_out(spec: GameSpec, args) -> dict:
 
 
 def _suffcond_out(spec: GameSpec, args) -> dict:
+    from .equilibrium import check_c3i, check_cni, check_nam
+
     nam = check_nam(spec)
     out = {
         "verb": "suffcond",
@@ -339,6 +338,8 @@ def _suffcond_out(spec: GameSpec, args) -> dict:
 
 
 def _preferred_out(spec: GameSpec, args) -> dict:
+    from .equilibrium import preferred_ore, verify_ore
+
     result = preferred_ore(spec)
     audit = verify_ore(spec, result.rep)
     out = {
@@ -355,6 +356,8 @@ def _preferred_out(spec: GameSpec, args) -> dict:
 
 
 def _payoff_set_out(spec: GameSpec, args) -> dict:
+    from .equilibrium import preferred_ore
+
     low = unraveling_payoff(spec)
     high = preferred_ore(spec).payoff
     out = {
@@ -370,6 +373,8 @@ def _payoff_set_out(spec: GameSpec, args) -> dict:
 
 
 def _ore_at_out(spec: GameSpec, args) -> dict:
+    from .equilibrium import ore_at_payoff, verify_ore
+
     if args.target is None:
         raise SpecError("ore-at requires --target")
     rep = ore_at_payoff(spec, args.target)
@@ -422,6 +427,8 @@ def _cmd_game(args) -> dict:
 
 
 def _cmd_app_seller(args) -> dict:
+    from .apps import check_prudence, seller_to_game
+
     model = _load_seller(_load_json(args.input))
     spec = seller_to_game(model)
     prudence = check_prudence(model)
@@ -439,12 +446,14 @@ def _cmd_app_seller(args) -> dict:
     if args.csv:
         _write_steps(args.csv, spec)
     if args.then:
-        log.info("running %s on the generated game", args.then)
+        _info("running %s on the generated game", args.then)
         out["result"] = _GAME_VERBS[args.then][0](spec, args)
     return out
 
 
 def _cmd_app_voting(args) -> dict:
+    from .apps import voting_comparative_statics, voting_to_game
+
     model = _load_voting(_load_json(args.input))
     spec, median = voting_to_game(model)
     out = {
@@ -480,7 +489,7 @@ def _cmd_app_voting(args) -> dict:
         if args.csv:
             _write_voting_sweep(args.csv, result)
     if args.then:
-        log.info("running %s on the generated game", args.then)
+        _info("running %s on the generated game", args.then)
         out["result"] = _GAME_VERBS[args.then][0](spec, args)
     return out
 
@@ -549,8 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("DISCLOSURE_LAB_LOG", "quiet").lower()
-    level = _LOG_LEVELS.get(name)
+    """Send the CLI's log to stderr at the DISCLOSURE_LAB_LOG level; do
+    nothing when the variable is unset."""
+    name = os.environ.get("DISCLOSURE_LAB_LOG")
+    if name is None:
+        return
+    import logging
+
+    name = name.lower()
+    levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+    level = levels.get(name)
     if level is None:
         print(
             f"warning: unknown DISCLOSURE_LAB_LOG value {name!r}, "
@@ -561,7 +578,7 @@ def _setup_logging() -> None:
     logging.basicConfig(
         stream=sys.stderr, level=level, format="%(levelname)s %(message)s"
     )
-    log.setLevel(level)
+    logging.getLogger("disclosure_lab.cli").setLevel(level)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -103,7 +103,7 @@ def _realize_segments(
     states never cross.
     """
     prior = spec.prior
-    support = interval(0.0, prior.quantile(1.0))
+    support = interval(0.0, prior.support_end)
     cells: list[IntervalUnion] = [IntervalUnion.empty() for _ in spec.values]
     atoms: list[tuple[float, float]] = []
     revealed = IntervalUnion.empty()

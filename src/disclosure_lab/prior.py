@@ -359,6 +359,14 @@ class Prior:
     def mean(self) -> float:
         return self._cums[1][-1]
 
+    @cached_property
+    def support_end(self) -> float:
+        """Right end of the support, read off the knots: the right knot of
+        the last piece whose density is positive at either end. Exact where
+        quantile(1.0) inverts a cdf that cancels in a faint tail."""
+        last = max(i for i, d in enumerate(self.density) if d > 0.0)
+        return self.knots[min(last + 1, len(self.knots) - 1)]
+
     def mass(self, region: IntervalUnion) -> float:
         return sum(self.cdf(b) - self.cdf(a) for a, b in region.pieces)
 

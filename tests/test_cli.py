@@ -205,7 +205,7 @@ def test_solver_failure_exits_three(capsys, monkeypatch):
     def boom(spec, grid_size=961):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli, "commitment_solution", boom)
+    monkeypatch.setattr("disclosure_lab.design.commitment_solution", boom)
     code, _, err = run(capsys, "solve", GK)
     assert code == 3
     assert "solver error: synthetic failure" in err
@@ -260,6 +260,72 @@ def test_no_solve_loads_numpy_or_scipy():
     assert payoff == repr(commitment_solution(spec).payoff)
 
 
+# Run in a fresh interpreter: a verb loads only the layers it runs, and
+# `logging` stays unloaded while DISCLOSURE_LAB_LOG is unset.
+LOADS = f"""
+import sys
+import disclosure_lab
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+package = [name for name in sys.modules if name.startswith("disclosure_lab.")]
+assert package == [], package
+from disclosure_lab.cli import main
+
+for verb, absent in (
+    ("baselines", ("design", "representation", "equilibrium", "apps")),
+    ("solve", ("equilibrium", "apps")),
+    ("suffcond", ("apps",)),
+):
+    assert main([verb, {str(SPECS / "exy.json")!r}]) == 0
+    names = [f"disclosure_lab.{{module}}" for module in absent] + ["logging"]
+    assert loaded(*names) == [], (verb, loaded(*names))
+"""
+
+
+def _python(*argv, **env):
+    """A fresh interpreter on this package, DISCLOSURE_LAB_LOG set only
+    as given."""
+    src = str(Path(disclosure_lab.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "DISCLOSURE_LAB_LOG"}
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**base, "PYTHONPATH": src, **env}, capture_output=True, text=True,
+    )
+
+
+def test_each_verb_loads_only_what_it_runs():
+    done = _python("-c", LOADS)
+    assert done.returncode == 0, done.stderr
+
+
+def test_info_log_reports_csv_writes_and_leaves_stdout_alone(tmp_path):
+    cli_solve = ("-m", "disclosure_lab.cli", "solve", EXY, "--csv")
+    quiet = _python(*cli_solve, str(tmp_path / "quiet"))
+    info = _python(*cli_solve, str(tmp_path / "info"), DISCLOSURE_LAB_LOG="info")
+    assert quiet.returncode == info.returncode == 0
+    assert quiet.stderr == ""
+    assert info.stdout == quiet.stdout
+    wrote = [line for line in info.stderr.splitlines() if "wrote" in line]
+    assert wrote == [
+        f"INFO wrote {tmp_path / 'info' / name}"
+        for name in ("steps.csv", "intervals.csv")
+    ]
+
+
+def test_log_level_lasts_one_call(capsys, caplog, monkeypatch, tmp_path):
+    """A logger set up by one in-process call writes nothing in a later
+    call made without DISCLOSURE_LAB_LOG."""
+    monkeypatch.setenv("DISCLOSURE_LAB_LOG", "info")
+    assert run(capsys, "solve", EXY, "--csv", str(tmp_path))[0] == 0
+    assert any("wrote" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    monkeypatch.delenv("DISCLOSURE_LAB_LOG")
+    assert run(capsys, "solve", EXY, "--csv", str(tmp_path))[0] == 0
+    assert caplog.records == []
+
+
 def test_output_is_byte_deterministic(capsys):
     _, first, _ = run(capsys, "solve", EXY)
     _, second, _ = run(capsys, "solve", EXY)
@@ -271,6 +337,22 @@ def test_output_matches_golden(capsys, name):
     code, out, _ = run(capsys, *GOLDEN_RUNS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+HELP_VERBS = ("", "solve", "implementable", "suffcond", "preferred",
+              "payoff-set", "ore-at", "baselines", "app-seller", "app-voting")
+
+
+@pytest.mark.parametrize("verb", HELP_VERBS)
+def test_help_matches_golden(capsys, monkeypatch, verb):
+    """--help of the parser and of each verb, saved under
+    tests/golden/help[-<verb>].txt at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--help"] if verb else ["--help"])
+    assert exc.value.code == 0
+    name = f"help-{verb}" if verb else "help"
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_floats_use_short_repr(capsys):

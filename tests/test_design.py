@@ -366,6 +366,19 @@ def test_sliver_top_windows_solve(game):
     preferred_ore(spec)
 
 
+def test_solution_reaches_the_end_of_a_faint_tail():
+    """The density is positive up to 1 but faint past 0.32, so inverting
+    the cdf at 1 cancels and stops short; the design's regions run to the
+    support end read off the knots."""
+    spec = GameSpec.from_obj(SLIVER_WINDOW_GAMES[1])
+    assert spec.prior.quantile(1.0) < 0.9997
+    assert spec.prior.support_end == 1.0
+    sol = commitment_solution(spec)
+    assert max(seg.outer.hi for seg in sol.segments) == 1.0
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+
+
 def test_no_root_finder_residual_builds_an_interval_union(
     gk2016, exs, exy, monkeypatch
 ):

@@ -207,6 +207,15 @@ def test_quantile_inverts_the_cdf():
     assert head.quantile(1e-9) > 0.2
 
 
+def test_support_end_is_a_knot():
+    """The right knot of the last piece with density at either end."""
+    assert uniform_prior().support_end == 1.0
+    assert plinear_prior((0.0, 0.5, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0)).support_end == 0.6
+    assert plinear_prior((0.0, 0.3, 0.8, 1.0), (0.0, 2.0, 1.5, 0.0)).support_end == 1.0
+    faint = plinear_prior((0.0, 0.3, 1.0), (1.0, 1e-13, 1e-13))
+    assert faint.support_end == 1.0 > faint.quantile(1.0)
+
+
 def test_solve_h_uniform_goldens():
     """On the uniform prior the mean of [h, hi] is (h + hi) / 2, so
     h = 2 target - hi, clipped at 0; Brent stops at a 1e-15 bracket."""
