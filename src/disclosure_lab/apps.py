@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .equilibrium import preferred_ore
+from .equilibrium import _density_nondecreasing, preferred_ore
 from .game import GameSpec, validate
 from .prior import (
     INPUT_SLACK,
@@ -38,26 +38,14 @@ class SellerModel:
     cost: float = 0.0
     prior: Prior = field(default_factory=uniform_prior)
 
-    def utility_values(self, q_max: int) -> list[float]:
-        kind = self.utility.get("kind")
-        if kind == "crra":
-            sigma = float(self.utility["sigma"])
-            if sigma <= 0.0:
-                raise SpecError("crra sigma must be positive")
-            return [float(q) ** (1.0 - sigma) if q else 0.0 for q in range(q_max + 1)]
-        if kind == "table":
-            vals = [float(v) for v in self.utility["values"]]
-            if abs(vals[0]) > INPUT_SLACK:
-                raise SpecError("utility table must start at zero")
-            return vals[: q_max + 1]
-        raise SpecError(f"unknown utility kind {kind!r}")
-
 
 def _marginal_utilities(model: SellerModel) -> list[float]:
     """U(q) - U(q-1) for q = 1, 2, ... while positive and decreasing."""
     kind = model.utility.get("kind")
     if kind == "table":
-        vals = model.utility_values(len(model.utility["values"]))
+        vals = [float(v) for v in model.utility["values"]]
+        if abs(vals[0]) > INPUT_SLACK:
+            raise SpecError("utility table must start at zero")
         gaps = [b - a for a, b in zip(vals, vals[1:])]
     elif kind == "crra":
         # expand the parametric utility until the marginal drops below
@@ -177,8 +165,7 @@ def check_prudence(model: SellerModel) -> PrudenceReport:
         prudent = _table_prudence(model.utility["values"])
     else:
         raise SpecError(f"unknown utility kind {kind!r}")
-    dens = model.prior.density
-    density_ok = all(b >= a - INPUT_SLACK for a, b in zip(dens, dens[1:]))
+    density_ok = _density_nondecreasing(model.prior)
     try:
         spec = seller_to_game(model)
     except SpecError:

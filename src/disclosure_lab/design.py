@@ -389,9 +389,18 @@ class _DualSimplex:
     primal row, so rows added after a solve are new dual columns: the
     basis stays feasible and the next solve starts from the last
     optimum. Column i < m is the surplus -e_i of dual constraint i, and
-    its reduced cost is x_i. The basis inverse is dense and updated at
-    each pivot. An optimum is accepted on an inverse fewer than m
-    updates old, an unbounded ray only on one refactored from the basis.
+    its reduced cost is x_i; column m + j is primal row j. The basis
+    inverse is dense and updated at each pivot. An optimum is accepted
+    on an inverse fewer than m updates old, an unbounded ray only on one
+    refactored from the basis.
+
+    The constructor takes the first row and prices it at
+    y = max objective_i / row_i over row_i > 0. The start basis holds
+    that row's column where the maximum is reached and the surplus
+    column of every other dual constraint, at y row_i - objective_i. A
+    row with no positive entry, or a start that is not dual feasible
+    (y < 0 or some y row_i below objective_i), raises SolverError. On
+    the cell LP the row is sum p <= 1 and y the top value.
 
     The entering column is the one of least reduced cost (Dantzig), the
     leaving row the one of largest pivot among those that tie for the
@@ -401,23 +410,24 @@ class _DualSimplex:
     the pivot size pick instead.
     """
 
-    def __init__(self, objective: list[float]) -> None:
+    def __init__(
+        self, objective: list[float], row: list[float], bound: float
+    ) -> None:
         m = self.m = len(objective)
         self.objective = list(objective)
-        unit = [[float(r == i) for r in range(m)] for i in range(m)]
-        self.cols = [[-u for u in e] for e in unit]
-        self.bounds = [0.0] * m
-        # a row the objective pulls above zero starts on an artificial
-        # column e_i, which phase one drives out for good
-        self.basis = []
-        for i, c in enumerate(objective):
-            if c > 0.0:
-                self.basis.append(len(self.cols))
-                self.cols.append(unit[i])
-                self.bounds.append(0.0)
-            else:
-                self.basis.append(i)
-        self.first = len(self.cols)
+        self.cols = [[-float(r == i) for r in range(m)] for i in range(m)] + [row]
+        self.bounds = [0.0] * m + [bound]
+        ratio = {i: c / a for i, (a, c) in enumerate(zip(row, objective)) if a > 0.0}
+        top = max(ratio, key=ratio.get, default=None)
+        if top is None or ratio[top] < 0.0 or any(
+            ratio[top] * a < c - LP_TOL for a, c in zip(row, objective)
+        ):
+            raise SolverError(
+                "LP start row does not price the objective: "
+                "y = max objective_i / row_i over row_i > 0 must be >= 0 "
+                "and meet y * row_i >= objective_i for every i"
+            )
+        self.basis = [m if i == top else i for i in range(m)]
         self._refactor()
 
     def add(self, row: list[float], bound: float) -> None:
@@ -426,31 +436,14 @@ class _DualSimplex:
 
     def solve(self) -> list[float]:
         """The optimal x, pivoting on from the last basis."""
-        m, first = self.m, self.first
-        if any(m <= j < first for j in self.basis):
-            self._run([float(m <= j < first) for j in range(len(self.cols))])
-            artificial = [r for r, j in enumerate(self.basis) if m <= j < first]
-            if sum(self.x_b[r] for r in artificial) > LP_TOL:
-                raise SolverError(
-                    "LP is unbounded or infeasible: its dual has no feasible point"
-                )
-            for r in artificial:
-                # row r of the inverse is not zero, so a surplus column
-                # can take the artificial's place at level zero
-                i = max(range(m), key=lambda i: abs(self.binv[r][i]))
-                self._pivot(r, i, [-row[i] for row in self.binv])
-        return self._run(self.bounds)
-
-    def _run(self, costs: list[float]) -> list[float]:
-        m, first, cols, basis = self.m, self.first, self.cols, self.basis
+        m, cols, bounds, basis = self.m, self.cols, self.bounds, self.basis
         pivots = 0
         while True:
-            cb = [costs[j] for j in basis]
+            cb = [bounds[j] for j in basis]
             pi = [sum(map(mul, cb, col)) for col in zip(*self.binv)]
-            # reduced costs of the surplus columns, then the added ones
+            # reduced costs of the surplus columns, then the primal rows
             rc = pi + [
-                c - sum(map(mul, pi, col))
-                for c, col in zip(costs[first:], cols[first:])
+                b - sum(map(mul, pi, col)) for b, col in zip(bounds[m:], cols[m:])
             ]
             k = min(range(len(rc)), key=rc.__getitem__)
             if rc[k] >= -LP_TOL:
@@ -459,8 +452,7 @@ class _DualSimplex:
                     return pi
                 self._refactor()
                 continue
-            enter = k if k < m else k - m + first
-            d = [sum(map(mul, row, cols[enter])) for row in self.binv]
+            d = [sum(map(mul, row, cols[k])) for row in self.binv]
             rows = [r for r in range(m) if d[r] > PIVOT_TOL]
             if not rows:
                 # and an unbounded ray only on a fresh one
@@ -477,7 +469,7 @@ class _DualSimplex:
             x_b = self.x_b
             most = min((max(x_b[r], 0.0) + LP_TOL) / d[r] for r in rows)
             ties = [r for r in rows if max(x_b[r], 0.0) / d[r] <= most]
-            self._pivot(max(ties, key=d.__getitem__), enter, d)
+            self._pivot(max(ties, key=d.__getitem__), k, d)
             pivots += 1
 
     def _pivot(self, r: int, enter: int, d: list[float]) -> None:
@@ -540,12 +532,13 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
     def lorenz(s: float) -> float:
         return prior.first_moment(prior.quantile(s))
 
-    lp = _DualSimplex(list(spec.values) + [0.0] * n)
     ones, zeros = [1.0] * n, [0.0] * n
-    for row, bound in ((ones + zeros, 1.0), (zeros + ones, prior.mean)):
-        # sum p = 1, sum q = prior mean
-        lp.add(row, bound)
-        lp.add([-a for a in row], -bound)
+    # sum p <= 1 starts the simplex, priced at the top value; with the
+    # next three rows, sum p = 1 and sum q = prior mean
+    lp = _DualSimplex(list(spec.values) + zeros, ones + zeros, 1.0)
+    lp.add([-1.0] * n + zeros, -1.0)
+    lp.add(zeros + ones, prior.mean)
+    lp.add(zeros + [-1.0] * n, -prior.mean)
     for i in range(n):
         unit = [float(j == i) for j in range(n)]
         lp.add([g[i] * u for u in unit] + [-u for u in unit], 0.0)  # g_i p_i - q_i <= 0

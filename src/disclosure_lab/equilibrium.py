@@ -21,6 +21,7 @@ from .prior import (
     NEGLIGIBLE,
     TIE_MARGIN,
     IntervalUnion,
+    Prior,
     SolverError,
     SpecError,
     find_root,
@@ -98,8 +99,8 @@ def check_nam(spec: GameSpec) -> list[bool]:
     return out
 
 
-def _density_nondecreasing(spec: GameSpec) -> bool:
-    dens = spec.prior.density
+def _density_nondecreasing(prior: Prior) -> bool:
+    dens = prior.density
     return all(b >= a - INPUT_SLACK for a, b in zip(dens, dens[1:]))
 
 
@@ -111,7 +112,7 @@ def check_cni(spec: GameSpec) -> bool:
     decreasing with at least one strict step; an empty chain passes.
     """
     require_valid(spec)
-    if not _density_nondecreasing(spec):
+    if not _density_nondecreasing(spec.prior):
         return False
     vals, cuts = spec.values, spec.cutoffs
     v_gaps = [b - a for a, b in zip(vals, vals[1:])]
@@ -132,7 +133,7 @@ def check_c3i(spec: GameSpec) -> bool:
     require_valid(spec)
     if spec.n_actions != 3:
         raise SpecError("check_c3i applies to three-action games only")
-    return _density_nondecreasing(spec) and spec.values[2] > 2.0 * spec.values[1]
+    return _density_nondecreasing(spec.prior) and spec.values[2] > 2.0 * spec.values[1]
 
 
 @dataclass(frozen=True)
@@ -255,11 +256,7 @@ def sweep_representation(
     return DeterministicRepresentation(tuple(cells))
 
 
-def ore_at_payoff(
-    spec: GameSpec,
-    target: float,
-    preferred: Optional[DeterministicRepresentation] = None,
-) -> DeterministicRepresentation:
+def ore_at_payoff(spec: GameSpec, target: float) -> DeterministicRepresentation:
     """An equilibrium representation with the given sender payoff.
 
     Sweeps a revelation threshold z from the preferred equilibrium (no
@@ -267,13 +264,7 @@ def ore_at_payoff(
     finds the z at which the continuous payoff path meets the target.
     """
     require_valid(spec)
-    if preferred is None:
-        base = preferred_ore(spec).rep
-    else:
-        audit = verify_ore(spec, preferred)
-        if not audit.ok:
-            raise SpecError("supplied preferred representation is not an ORE")
-        base = preferred
+    base = preferred_ore(spec).rep
     r_u = unraveling_payoff(spec)
     r_s = representation_payoff(spec, base)
     if target < r_u - AUDIT_TOL or target > r_s + AUDIT_TOL:

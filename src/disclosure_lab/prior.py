@@ -60,14 +60,16 @@ SNAP_TOL = 1e-9
 AUDIT_TOL = 1e-9
 # Primal and dual feasibility of the LP solvers (the cell LP's simplex,
 # and HiGHS in the lp_value oracle): the most a constraint, a reduced
-# cost or a phase-one residual may miss by, and the slack of the
-# simplex's ratio test. Also the largest Lorenz violation the
-# cutting-plane loop accepts.
+# cost or the simplex's start may miss by, and the slack of its ratio
+# test. Also the largest Lorenz violation the cutting-plane loop
+# accepts.
 LP_TOL = 1e-10
 # The cell LP's simplex pivots only on an entry above PIVOT_TOL in the
-# entering column, and one solve gives up after PIVOT_CAP pivots.
+# entering column, and one solve gives up after PIVOT_CAP pivots;
+# find_root gives up after ROOT_ITERS iterations.
 PIVOT_TOL = 1e-9
 PIVOT_CAP = 500
+ROOT_ITERS = 120
 # Absolute and relative bracket width at which find_root stops; the
 # relative one is scipy's brentq default, 4 machine epsilons.
 ROOT_XTOL = 1e-15
@@ -424,21 +426,15 @@ def plinear_prior(knots: Sequence[float], density: Sequence[float]) -> Prior:
     return Prior("plinear", tuple(knots), tuple(density))
 
 
-def find_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    iters: int = 120,
-) -> float:
+def find_root(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of f on the bracket [a, b] by Brent's method.
 
     A step-for-step port of scipy's ``Zeros/brentq.c`` at xtol
     ROOT_XTOL and rtol ROOT_RTOL, so it returns bitwise the root
     ``scipy.optimize.brentq`` does. An endpoint whose residual is
     exactly zero is returned as is. Endpoints with the same strict
-    sign, a NaN residual, or no convergence within iters iterations
-    raise SolverError.
+    sign, a NaN residual, or no convergence within ROOT_ITERS
+    iterations raise SolverError.
     """
     fpre = f(a)
     if fpre != fpre:
@@ -460,7 +456,7 @@ def find_root(
     # steps.
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    for _ in range(iters):
+    for _ in range(ROOT_ITERS):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -495,7 +491,7 @@ def find_root(
         fcur = f(xcur)
         if fcur != fcur:
             raise SolverError(f"residual is NaN at x={xcur!r}")
-    raise SolverError(f"root finder did not converge in {iters} iterations")
+    raise SolverError(f"root finder did not converge in {ROOT_ITERS} iterations")
 
 
 def solve_h(prior: Prior, target: float, hi: float) -> float:

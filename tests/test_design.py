@@ -724,12 +724,12 @@ def test_dual_simplex_matches_highs_on_cell_shaped_lps():
     rng = np.random.default_rng(31)
     for _ in range(40):
         objective, rows, bounds = _cell_lp(rng)
-        cold = _DualSimplex(objective)
-        warm = _DualSimplex(objective)
+        cold = _DualSimplex(objective, rows[0], bounds[0])
+        warm = _DualSimplex(objective, rows[0], bounds[0])
         half = len(rows) // 2
-        for row, bound in zip(rows, bounds):
+        for row, bound in zip(rows[1:], bounds[1:]):
             cold.add(row, bound)
-        for row, bound in zip(rows[:half], bounds[:half]):
+        for row, bound in zip(rows[1:half], bounds[1:half]):
             warm.add(row, bound)
         _assert_matches_highs(objective, rows[:half], bounds[:half], warm.solve())
         for row, bound in zip(rows[half:], bounds[half:]):
@@ -746,8 +746,8 @@ def test_dual_simplex_matches_highs_on_the_cut_loops_lps(monkeypatch):
     class Recording(_DualSimplex):
         def solve(self):
             x = super().solve()
-            seen.append((self.objective, self.cols[self.first:],
-                         self.bounds[self.first:], x))
+            seen.append((self.objective, self.cols[self.m:],
+                         self.bounds[self.m:], x))
             return x
 
     monkeypatch.setattr(design, "_DualSimplex", Recording)
@@ -760,23 +760,31 @@ def test_dual_simplex_matches_highs_on_the_cut_loops_lps(monkeypatch):
         _assert_matches_highs(objective, rows, bounds, x)
 
 
+def test_dual_simplex_starts_dual_feasible():
+    """The first row of a cell-shaped LP, sum p <= 1, prices every
+    objective entry: the fresh basis has no negative value."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        objective, rows, bounds = _cell_lp(rng)
+        assert min(_DualSimplex(objective, rows[0], bounds[0]).x_b) >= 0.0
+
+
 def test_dual_simplex_failures_are_typed(monkeypatch):
     # x >= 1 and x <= 0: the dual is unbounded
-    lp = _DualSimplex([0.0])
+    lp = _DualSimplex([0.0], [1.0], 0.0)
     lp.add([-1.0], -1.0)
-    lp.add([1.0], 0.0)
     with pytest.raises(SolverError, match="LP is infeasible"):
         lp.solve()
-    # max x_1 subject to x_1 - x_2 <= 1: the dual has no feasible point
-    lp = _DualSimplex([1.0, 0.0])
-    lp.add([1.0, -1.0], 1.0)
-    with pytest.raises(SolverError, match="LP is unbounded or infeasible"):
-        lp.solve()
-    # max x_1 + 2 x_2 subject to x_1 + x_2 <= 1 takes two pivots
+    # max x_1 subject to x_1 - x_2 <= 1: the row prices x_2 below zero
+    with pytest.raises(SolverError, match="LP start row does not price"):
+        _DualSimplex([1.0, 0.0], [1.0, -1.0], 1.0)
+    # max x_1 + 2 x_2 subject to x_1 + x_2 <= 10, x_1 <= 1 and x_2 <= 1
+    # takes two pivots: both start columns leave the basis
     monkeypatch.setattr(design, "PIVOT_CAP", 1)
-    lp = _DualSimplex([1.0, 2.0])
-    lp.add([1.0, 1.0], 1.0)
+    lp = _DualSimplex([1.0, 2.0], [1.0, 1.0], 10.0)
+    lp.add([1.0, 0.0], 1.0)
+    lp.add([0.0, 1.0], 1.0)
     with pytest.raises(SolverError, match="cap of 1 pivots"):
         lp.solve()
     monkeypatch.setattr(design, "PIVOT_CAP", 2)
-    assert lp.solve() == [0.0, 1.0]
+    assert lp.solve() == [1.0, 1.0]

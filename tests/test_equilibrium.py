@@ -150,9 +150,8 @@ def test_ore_at_interior_targets(exy):
 def test_ore_at_lands_on_the_payoff_set_targets(exy):
     """The payoff path is solved by one root finder, so each of the
     acceptance gate's 20 targets is met to far below its 1e-7 bound."""
-    preferred = preferred_ore(exy).rep
     for t in np.linspace(0.49, EXY_PREFERRED, 20):
-        rep = ore_at_payoff(exy, float(t), preferred)
+        rep = ore_at_payoff(exy, float(t))
         assert abs(verify_ore(exy, rep).payoff - t) <= 1e-11
 
 

@@ -16,6 +16,7 @@ from disclosure_lab import (
     solve_h,
     uniform_prior,
 )
+from disclosure_lab import prior as prior_module
 from disclosure_lab.prior import ROOT_RTOL, ROOT_XTOL, find_root
 
 from conftest import random_gapped_prior
@@ -294,9 +295,10 @@ def test_find_root_same_sign_raises():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_find_root_non_convergence_is_solver_error():
+def test_find_root_non_convergence_is_solver_error(monkeypatch):
+    monkeypatch.setattr(prior_module, "ROOT_ITERS", 2)
     with pytest.raises(SolverError) as info:
-        find_root(lambda x: x**3 - 2.0, 0.0, 2.0, iters=2)
+        find_root(lambda x: x**3 - 2.0, 0.0, 2.0)
     assert type(info.value) is SolverError
 
 
@@ -357,7 +359,7 @@ def _differential_residuals():
     return cases
 
 
-def test_find_root_is_bitwise_brentq():
+def test_find_root_is_bitwise_brentq(monkeypatch):
     assert ROOT_RTOL == 4 * np.finfo(float).eps
     for name, f, a, b in _differential_residuals():
         calls = []
@@ -373,11 +375,13 @@ def test_find_root_is_bitwise_brentq():
         for iters in range(1, info.iterations + 1):
             _, short = brentq(f, a, b, xtol=ROOT_XTOL, maxiter=iters,
                               full_output=True, disp=False)
+            monkeypatch.setattr(prior_module, "ROOT_ITERS", iters)
             if short.converged:
-                assert find_root(f, a, b, iters=iters).hex() == root.hex(), name
+                assert find_root(f, a, b).hex() == root.hex(), name
             else:
                 with pytest.raises(SolverError, match="did not converge"):
-                    find_root(f, a, b, iters=iters)
+                    find_root(f, a, b)
+        monkeypatch.undo()
 
 
 def test_prior_round_trip():
