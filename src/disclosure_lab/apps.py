@@ -9,11 +9,11 @@ median voter, whose two indifference cutoffs define a three-action game.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .equilibrium import _density_nondecreasing, preferred_ore
-from .game import GameSpec, validate
+from .game import GameSpec
 from .prior import (
     INPUT_SLACK,
     SELLER_CUT_GAP,
@@ -101,11 +101,7 @@ def seller_to_game(model: SellerModel) -> GameSpec:
     margin = model.price - model.cost
     cutoffs = (0.0, *kept, 1.0)
     values = tuple(margin * q for q in range(n + 1))
-    spec = GameSpec(model.prior, cutoffs, values)
-    problems = validate(spec)
-    if problems:
-        raise SpecError("; ".join(problems))
-    return spec
+    return GameSpec(model.prior, cutoffs, values)
 
 
 @dataclass(frozen=True)
@@ -200,14 +196,19 @@ class Voter:
 @dataclass(frozen=True)
 class VotingModel:
     """Committee voting over a bill and its amended version, where
-    rejecting both is the default outcome."""
+    rejecting both is the default outcome.
+
+    Construction raises SpecError naming every violated requirement: an
+    odd number of voters, expert values v_b > v_ab > 0, and per voter
+    ordered slopes and intercepts with cutoffs inside (0, 1).
+    """
 
     voters: tuple[Voter, ...]
     v_ab: float
     v_b: float
     prior: Prior = field(default_factory=uniform_prior)
 
-    def problems(self) -> list[str]:
+    def __post_init__(self) -> None:
         out = []
         if len(self.voters) % 2 == 0 or not self.voters:
             out.append("voter count must be odd")
@@ -222,7 +223,8 @@ class VotingModel:
                 continue
             if not 0.0 < v.gamma1 < v.gamma2 < 1.0:
                 out.append(f"voter {j}: cutoffs fall outside (0, 1)")
-        return out
+        if out:
+            raise SpecError("; ".join(out))
 
 
 def _median_voter(model: VotingModel) -> int:
@@ -244,9 +246,6 @@ def _median_voter(model: VotingModel) -> int:
 
 def voting_to_game(model: VotingModel) -> tuple[GameSpec, int]:
     """Game faced by the expert, and the index of the decisive voter."""
-    problems = model.problems()
-    if problems:
-        raise SpecError("; ".join(problems))
     m = _median_voter(model)
     voter = model.voters[m]
     spec = GameSpec(
@@ -254,9 +253,6 @@ def voting_to_game(model: VotingModel) -> tuple[GameSpec, int]:
         (0.0, voter.gamma1, voter.gamma2, 1.0),
         (0.0, model.v_ab, model.v_b),
     )
-    bad = validate(spec)
-    if bad:
-        raise SpecError("; ".join(bad))
     return spec, m
 
 
@@ -290,12 +286,7 @@ def voting_comparative_statics(
     rows = []
     for d in deltas:
         voters = tuple(
-            Voter(
-                **{
-                    name: getattr(v, name) + (d if name == parameter else 0.0)
-                    for name in ("alpha_ab", "alpha_b", "beta_ab", "beta_b")
-                }
-            )
+            replace(v, **{parameter: getattr(v, parameter) + d})
             for v in model.voters
         )
         variant = VotingModel(voters, model.v_ab, model.v_b, model.prior)

@@ -299,7 +299,6 @@ def _solve_out(spec: GameSpec, args) -> dict:
         "feasible": is_mpc(spec.prior, sol.distribution),
     }
     if args.csv:
-        _write_steps(args.csv, spec)
         _write_intervals(args.csv, spec, sol.canonical)
     return out
 
@@ -316,7 +315,6 @@ def _implementable_out(spec: GameSpec, args) -> dict:
         "violations": _violations_obj(report.violations),
     }
     if args.csv:
-        _write_steps(args.csv, spec)
         _write_intervals(args.csv, spec, report.canonical)
     return out
 
@@ -332,8 +330,6 @@ def _suffcond_out(spec: GameSpec, args) -> dict:
         "cni": check_cni(spec),
         "c3i": check_c3i(spec) if spec.n_actions == 3 else None,
     }
-    if args.csv:
-        _write_steps(args.csv, spec)
     return out
 
 
@@ -350,7 +346,6 @@ def _preferred_out(spec: GameSpec, args) -> dict:
         "representation": result.rep.to_obj(),
     }
     if args.csv:
-        _write_steps(args.csv, spec)
         _write_intervals(args.csv, spec, result.rep)
     return out
 
@@ -367,7 +362,6 @@ def _payoff_set_out(spec: GameSpec, args) -> dict:
         "bounds": [low, high],
     }
     if args.csv:
-        _write_steps(args.csv, spec)
         _write_payoff_sweep(args.csv, spec)
     return out
 
@@ -387,7 +381,6 @@ def _ore_at_out(spec: GameSpec, args) -> dict:
         "representation": rep.to_obj(),
     }
     if args.csv:
-        _write_steps(args.csv, spec)
         _write_intervals(args.csv, spec, rep)
     return out
 
@@ -398,8 +391,6 @@ def _baselines_out(spec: GameSpec, args) -> dict:
         "unraveling": unraveling_payoff(spec),
         "cheap_talk": cheap_talk_payoff(spec),
     }
-    if args.csv:
-        _write_steps(args.csv, spec)
     return out
 
 
@@ -423,7 +414,10 @@ _GAME_VERBS = {
 
 
 def _cmd_game(args) -> dict:
-    return _GAME_VERBS[args.verb][0](_load_spec(args.input), args)
+    spec = _load_spec(args.input)
+    if args.csv:
+        _write_steps(args.csv, spec)
+    return _GAME_VERBS[args.verb][0](spec, args)
 
 
 def _cmd_app_seller(args) -> dict:

@@ -28,7 +28,6 @@ from .game import (
     GameSpec,
     MeanDistribution,
     action_at,
-    require_valid,
     value_at,
 )
 from .prior import (
@@ -351,7 +350,6 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
 def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
     """Exact commitment optimum for two or three actions: the best
     realized payoff among the candidate segment structures."""
-    require_valid(spec)
     if spec.n_actions != n_actions:
         raise SpecError(f"this solver needs exactly {n_actions} actions")
     best: Optional[BiPoolingSolution] = None
@@ -616,17 +614,6 @@ def _atom_grid(spec: GameSpec, grid_size: int) -> np.ndarray:
 DEFAULT_GRID = 961
 
 
-def _check_points(spec: GameSpec) -> np.ndarray:
-    """Fixed dominance check set, independent of the atom grid so that
-    refining the grid only adds variables and never new constraints."""
-    import numpy as np
-
-    base = np.arange(CHECK_POINTS, dtype=float) / (CHECK_POINTS - 1)
-    cuts = np.array(spec.cutoffs, dtype=float)
-    keep = base[np.all(np.abs(base[:, None] - cuts[None, :]) > NEGLIGIBLE, axis=1)]
-    return np.unique(np.concatenate([keep, cuts]))
-
-
 def _lp_problem(spec: GameSpec, grid_size: int):
     """Sparse LP encoding of the commitment problem.
 
@@ -641,7 +628,9 @@ def _lp_problem(spec: GameSpec, grid_size: int):
     prior = spec.prior
     x = _atom_grid(spec, grid_size)
     u = np.array([value_at(spec, xi) for xi in x])
-    checks = _check_points(spec)
+    # a fixed dominance check set, independent of the atom grid, so that
+    # refining the grid only adds variables and never new constraints
+    checks = _atom_grid(spec, CHECK_POINTS)
     t_f = np.array([prior.integrated_cdf(c) for c in checks])
     n, m = len(x), len(checks)
     bins = np.searchsorted(checks, x, side="left")
@@ -712,7 +701,6 @@ def lp_value(spec: GameSpec, grid_size: int = DEFAULT_GRID) -> float:
     import numpy as np
     from scipy.optimize import linprog
 
-    require_valid(spec)
     x, u, a_eq, b_eq, bounds, n = _lp_problem(spec, grid_size)
     cost = np.zeros(a_eq.shape[1])
     cost[:n] = -u
@@ -734,7 +722,6 @@ def commitment_solution(
     ``_solve_cells``. grid_size is accepted for callers that still pass
     it and ignored.
     """
-    require_valid(spec)
     if spec.n_actions == 2:
         return solve_two_action(spec)
     if spec.n_actions == 3:

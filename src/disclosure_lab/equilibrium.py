@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .design import BiPoolingSolution, _nested_y, commitment_solution
-from .game import GameSpec, require_valid, unraveling_payoff
+from .game import GameSpec, unraveling_payoff
 from .prior import (
     AUDIT_TOL,
     INPUT_SLACK,
@@ -55,7 +55,6 @@ def implementable(spec: GameSpec) -> ImplementabilityReport:
     Solves the commitment problem and checks the structural incentive
     conditions on its canonical representation.
 """
-    require_valid(spec)
     sol = commitment_solution(spec)
     report: Prop2Report = check_prop2(spec, sol.canonical)
     return ImplementabilityReport(
@@ -74,7 +73,6 @@ def check_nam(spec: GameSpec) -> list[bool]:
     the worst pooling window. All-true implies the commitment outcome is
     implementable. Vacuously empty for two actions.
     """
-    require_valid(spec)
     prior = spec.prior
     out = []
     for i in range(1, spec.n_actions - 1):
@@ -111,7 +109,6 @@ def check_cni(spec: GameSpec) -> bool:
     with at least one strict step, and the cutoff-gap chain weakly
     decreasing with at least one strict step; an empty chain passes.
     """
-    require_valid(spec)
     if not _density_nondecreasing(spec.prior):
         return False
     vals, cuts = spec.values, spec.cutoffs
@@ -130,7 +127,6 @@ def check_cni(spec: GameSpec) -> bool:
 
 def check_c3i(spec: GameSpec) -> bool:
     """Three-action shortcut: increasing density and v_2 > 2 v_1."""
-    require_valid(spec)
     if spec.n_actions != 3:
         raise SpecError("check_c3i applies to three-action games only")
     return _density_nondecreasing(spec.prior) and spec.values[2] > 2.0 * spec.values[1]
@@ -147,7 +143,6 @@ class OREAudit:
 def verify_ore(spec: GameSpec, rep: DeterministicRepresentation) -> OREAudit:
     """A representation backs an equilibrium iff it is obedient and
     incentive compatible; returns the full diagnostics either way."""
-    require_valid(spec)
     obed = is_obedient(spec, rep)
     ic = is_incentive_compatible(spec, rep)
     payoff = representation_payoff(spec, rep)
@@ -213,7 +208,6 @@ def preferred_ore(spec: GameSpec) -> OREResult:
     cell is pooled to exactly the upper cutoff and the best feasible
     variant of that family wins.
     """
-    require_valid(spec)
     if spec.n_actions > 3:
         raise SpecError(
             "preferred equilibrium search supports up to three actions; "
@@ -263,7 +257,6 @@ def ore_at_payoff(spec: GameSpec, target: float) -> DeterministicRepresentation:
     extra revelation) toward full disclosure at the top cutoff, and
     finds the z at which the continuous payoff path meets the target.
     """
-    require_valid(spec)
     base = preferred_ore(spec).rep
     r_u = unraveling_payoff(spec)
     r_s = representation_payoff(spec, base)

@@ -7,6 +7,9 @@ function is upper semicontinuous). The sender's payoff from any signal
 depends on the induced distribution over posterior means only, so this
 module also defines that distribution type and its feasibility test
 (second-order stochastic dominance of integrated cdfs).
+
+A GameSpec is checked once, when it is made: constructing one with a
+violated invariant raises SpecError, so every consumer can rely on it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ class GameSpec:
     """Prior, cutoffs 0 = gamma_0 < ... < gamma_n = 1, and action values
     0 = v_0 < ... < v_{n-1}.
 
-    Construction is deliberately lenient so that validate() can report
-    violations on arbitrary inputs; everything that consumes a spec goes
-    through require_valid first.
+    Construction raises SpecError naming every invariant that validate()
+    finds violated, so a spec that exists is valid.
     """
 
     prior: Prior
@@ -43,6 +45,9 @@ class GameSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cutoffs", tuple(float(c) for c in self.cutoffs))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        problems = validate(self)
+        if problems:
+            raise SpecError("invalid game spec: " + "; ".join(problems))
 
     @property
     def n_actions(self) -> int:
@@ -65,17 +70,16 @@ class GameSpec:
         missing = [k for k in ("prior", "cutoffs", "values") if k not in obj]
         if missing:
             raise SpecError(f"game spec missing fields: {', '.join(missing)}")
-        spec = cls(
+        return cls(
             Prior.from_obj(obj["prior"]),
             tuple(obj["cutoffs"]),
             tuple(obj["values"]),
         )
-        require_valid(spec)
-        return spec
 
 
 def validate(spec: GameSpec) -> list[str]:
-    """All violated invariants of a game spec; empty list means valid."""
+    """All violated invariants of a game spec, the list its constructor
+    reports; a constructed spec always gives the empty list."""
     problems = []
     cuts, vals = spec.cutoffs, spec.values
     if len(vals) < 2:
@@ -93,13 +97,6 @@ def validate(spec: GameSpec) -> list[str]:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             problems.append("values not increasing")
     return problems
-
-
-def require_valid(spec: GameSpec) -> GameSpec:
-    problems = validate(spec)
-    if problems:
-        raise SpecError("invalid game spec: " + "; ".join(problems))
-    return spec
 
 
 def value_at(spec: GameSpec, x: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .game import GameSpec, MeanDistribution, require_valid
+from .game import GameSpec, MeanDistribution
 from .prior import (
     AUDIT_TOL,
     MEAN_GUARD,
@@ -59,7 +59,6 @@ class DeterministicRepresentation:
 def validate_representation(
     spec: GameSpec, rep: DeterministicRepresentation
 ) -> list[str]:
-    require_valid(spec)
     problems = []
     if rep.n_actions != spec.n_actions:
         problems.append("cell count does not match the action count")
@@ -122,7 +121,6 @@ class ObedienceReport:
 def is_obedient(spec: GameSpec, rep: DeterministicRepresentation) -> ObedienceReport:
     """Each nonnull cell's conditional mean must lie in its own cutoff
     interval, so the named action is actually the receiver's reply."""
-    require_valid(spec)
     rows = []
     for i, cell in enumerate(rep.cells):
         if spec.prior.mass(cell) <= NEGLIGIBLE:
@@ -154,7 +152,6 @@ def is_incentive_compatible(
     is at most AUDIT_TOL, the rule ``check_prop2`` uses as well. Reports
     the first failing action with the uncovered subinterval.
     """
-    require_valid(spec)
     for i in range(spec.n_actions):
         upper = IntervalUnion.empty()
         for j in range(i, spec.n_actions):

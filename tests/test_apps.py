@@ -191,6 +191,17 @@ def test_even_voter_count_rejected():
         voting_to_game(VotingModel((v, v), 1.0, 1.3))
 
 
+def test_voting_model_checks_itself_on_construction():
+    v = Voter(-0.3, -1.1, 1.0, 3.0)
+    with pytest.raises(SpecError, match="odd"):
+        VotingModel((v, v), 1.0, 1.3)
+    with pytest.raises(SpecError) as err:
+        VotingModel((v, v), 1.3, 1.0)
+    assert str(err.value) == (
+        "voter count must be odd; expert values must satisfy v_b > v_ab > 0"
+    )
+
+
 def sweep_model(v_b):
     voters = tuple(Voter(-0.6, -1.5, 1.0, b) for b in (1.99, 2.0, 2.01))
     return VotingModel(voters, 1.0, v_b)

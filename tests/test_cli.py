@@ -415,6 +415,16 @@ def test_app_seller_then_solve(capsys):
     assert "implementable" in doc["result"]
 
 
+def test_app_then_verb_writes_steps_once(capsys, caplog, monkeypatch, tmp_path):
+    monkeypatch.setenv("DISCLOSURE_LAB_LOG", "info")
+    argv = ("app-seller", SELLER, "--then", "implementable", "--csv", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    wrote = [r.getMessage() for r in caplog.records if "wrote" in r.getMessage()]
+    assert wrote == [
+        f"wrote {tmp_path / name}" for name in ("steps.csv", "intervals.csv")
+    ]
+
+
 def test_app_voting_sweep_csv(capsys, tmp_path):
     model = json.dumps(
         {

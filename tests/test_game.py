@@ -18,7 +18,7 @@ from disclosure_lab import (
     validate,
     value_at,
 )
-from disclosure_lab.game import action_at, require_valid
+from disclosure_lab.game import action_at
 
 from conftest import (
     random_gapped_game,
@@ -31,30 +31,36 @@ from conftest import (
 def test_validate_reports_each_problem():
     u = uniform_prior()
     assert validate(GameSpec(u, (0.0, 0.4, 1.0), (0.0, 1.0))) == []
-    assert validate(GameSpec(u, (0.0, 1.0), (0.0,))) == [
-        "need at least two actions"
-    ]
-    assert validate(GameSpec(u, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0))) == [
-        "cutoff count must be action count plus one"
-    ]
-    assert "cutoffs must start at 0 and end at 1" in validate(
+    with pytest.raises(
+        SpecError, match=r"^invalid game spec: need at least two actions$"
+    ):
+        GameSpec(u, (0.0, 1.0), (0.0,))
+    with pytest.raises(
+        SpecError,
+        match=r"^invalid game spec: cutoff count must be action count plus one$",
+    ):
+        GameSpec(u, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0))
+    with pytest.raises(SpecError, match="cutoffs must start at 0 and end at 1"):
         GameSpec(u, (0.1, 0.5, 1.0), (0.0, 1.0))
-    )
-    assert "cutoffs not ascending" in validate(
+    with pytest.raises(SpecError, match="cutoffs not ascending"):
         GameSpec(u, (0.0, 0.6, 0.4, 1.0), (0.0, 1.0, 2.0))
-    )
-    assert "lowest action value must be 0" in validate(
+    with pytest.raises(SpecError, match="lowest action value must be 0"):
         GameSpec(u, (0.0, 0.5, 1.0), (0.5, 1.0))
-    )
-    assert "values not increasing" in validate(
+    with pytest.raises(SpecError, match="values not increasing"):
         GameSpec(u, (0.0, 0.3, 0.6, 1.0), (0.0, 2.0, 1.0))
+    joined = (
+        "invalid game spec: cutoffs must start at 0 and end at 1; "
+        "cutoffs not ascending; lowest action value must be 0; "
+        "values not increasing"
     )
-
-
-def test_require_valid_raises_with_joined_message():
-    bad = GameSpec(uniform_prior(), (0.0, 1.0), (0.0,))
-    with pytest.raises(SpecError, match="need at least two actions"):
-        require_valid(bad)
+    with pytest.raises(SpecError) as err:
+        GameSpec(u, (0.1, 0.6, 0.4), (0.5, 0.2))
+    assert str(err.value) == joined
+    with pytest.raises(SpecError) as err:
+        GameSpec.from_obj(
+            {"prior": u.to_obj(), "cutoffs": [0.1, 0.6, 0.4], "values": [0.5, 0.2]}
+        )
+    assert str(err.value) == joined
 
 
 def test_value_at_takes_upper_action_at_cutoffs(gk2016):
