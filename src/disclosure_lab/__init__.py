@@ -19,10 +19,9 @@ _EXPORTS = {
         "is_mpc", "unraveling_payoff", "validate", "value_at",
     ),
     "representation": (
-        "DeterministicRepresentation", "NestedPair", "check_prop2",
-        "feasible_bipool", "induced_distribution", "is_incentive_compatible",
-        "is_laminar", "is_obedient", "nested_interval_rep",
-        "representation_payoff",
+        "DeterministicRepresentation", "check_prop2", "feasible_bipool",
+        "induced_distribution", "is_incentive_compatible", "is_laminar",
+        "is_obedient", "nested_interval_rep", "representation_payoff",
     ),
     "design": (
         "BiPoolingSolution", "Segment", "commitment_solution", "lp_value",

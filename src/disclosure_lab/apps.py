@@ -85,17 +85,16 @@ def seller_to_game(model: SellerModel) -> GameSpec:
         raise SpecError("cost must lie in [0, price)")
     gaps = _marginal_utilities(model)
     thetas = [model.price / g for g in gaps]
-    n = sum(1 for t in thetas if t < 1.0)
-    if n == 0:
-        raise SpecError("no unit is ever worth buying at this price")
-    kept = thetas[:n]
-    if kept[-1] >= 1.0 - INPUT_SLACK:
+    kept = [t for t in thetas if t < 1.0]
+    if kept and kept[-1] >= 1.0 - INPUT_SLACK:
         warnings.warn(
             "top quantity cutoff reaches the state bound; truncating",
             stacklevel=2,
         )
         kept = [t for t in kept if t < 1.0 - INPUT_SLACK]
-        n = len(kept)
+    n = len(kept)
+    if n == 0:
+        raise SpecError("no unit is ever worth buying at this price")
     if any(b <= a + SELLER_CUT_GAP for a, b in zip(kept, kept[1:])):
         raise SpecError("quantity cutoffs must be strictly increasing")
     margin = model.price - model.cost

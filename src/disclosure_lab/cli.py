@@ -163,12 +163,9 @@ def _load_voting(obj) -> VotingModel:
 
 
 def _dist_obj(dist: MeanDistribution) -> dict:
-    revealed = None
-    if dist.revealed is not None:
-        revealed = [list(p) for p in dist.revealed.pieces]
     return {
         "atoms": [[loc, mass] for loc, mass in dist.atoms],
-        "revealed": revealed,
+        "revealed": [list(p) for p in dist.revealed.pieces] or None,
         "pool_threshold": dist.pool_threshold,
         "payoff": dist.payoff,
     }
@@ -253,11 +250,12 @@ def _write_intervals(
     )
 
 
-def _write_payoff_sweep(directory: str, spec: GameSpec) -> None:
-    from .equilibrium import preferred_ore, sweep_representation
+def _write_payoff_sweep(
+    directory: str, spec: GameSpec, base: DeterministicRepresentation
+) -> None:
+    from .equilibrium import sweep_representation
     from .representation import representation_payoff
 
-    base = preferred_ore(spec).rep
     z_hi = spec.cutoffs[spec.n_actions - 1]
     rows = []
     for j in range(101):
@@ -354,7 +352,8 @@ def _payoff_set_out(spec: GameSpec, args) -> dict:
     from .equilibrium import preferred_ore
 
     low = unraveling_payoff(spec)
-    high = preferred_ore(spec).payoff
+    preferred = preferred_ore(spec)
+    high = preferred.payoff
     out = {
         "verb": "payoff-set",
         "unraveling": low,
@@ -362,7 +361,7 @@ def _payoff_set_out(spec: GameSpec, args) -> dict:
         "bounds": [low, high],
     }
     if args.csv:
-        _write_payoff_sweep(args.csv, spec)
+        _write_payoff_sweep(args.csv, spec, preferred.rep)
     return out
 
 

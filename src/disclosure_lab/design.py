@@ -100,22 +100,26 @@ def _realize_segments(
     no mass is left to pool there. Regions stop where the prior's mass
     does, so no cell reaches through an empty tail past a cutoff its
     states never cross.
+
+    One pass assigns each pooled part to its atom's action and each
+    revealed region to the revealed set. The revealed union, each cell
+    and the payoff are then built once, at the end.
     """
     prior = spec.prior
     support = interval(0.0, prior.support_end)
-    cells: list[IntervalUnion] = [IntervalUnion.empty() for _ in spec.values]
+    pooled: list[list[tuple[float, float]]] = [[] for _ in spec.values]
+    shown: list[tuple[float, float]] = []
     atoms: list[tuple[float, float]] = []
-    revealed = IntervalUnion.empty()
     out_segments: list[Segment] = []
 
     def reveal(region: IntervalUnion) -> None:
-        nonlocal revealed
-        if prior.mass(region) <= NEGLIGIBLE:
-            return
-        revealed = revealed.union(region)
-        for i in range(spec.n_actions):
-            cells[i] = cells[i].union(region.intersect(spec.cell(i)))
-        out_segments.append(Segment(region, "revealed", ()))
+        if prior.mass(region) > NEGLIGIBLE:
+            shown.extend(region.pieces)
+            out_segments.append(Segment(region, "revealed", ()))
+
+    def pool(region: IntervalUnion, loc: float, mass: float) -> None:
+        atoms.append((loc, mass))
+        pooled[action_at(spec, loc)].extend(region.pieces)
 
     for seg in sorted(segments, key=lambda s: s.outer.lo):
         region = seg.outer.intersect(support)
@@ -123,8 +127,7 @@ def _realize_segments(
             continue
         if seg.kind == "revealed":
             reveal(region)
-            continue
-        if seg.kind == "pooling":
+        elif seg.kind == "pooling":
             target = seg.means[0]
             want = action_at(spec, target)
             loc = _snap_loc(spec, prior.partial_mean(region), target)
@@ -145,33 +148,30 @@ def _realize_segments(
                 reveal(interval(lo, x))
                 region = interval(x, hi)
                 loc = _snap_loc(spec, prior.partial_mean(region), cut)
-            m = prior.mass(region)
-            atoms.append((loc, m))
-            cells[action_at(spec, loc)] = cells[action_at(spec, loc)].union(region)
+            pool(region, loc, prior.mass(region))
             out_segments.append(Segment(region, "pooling", (loc,)))
-            continue
-        if seg.kind == "bipooling":
+        elif seg.kind == "bipooling":
             z_lo, z_hi = seg.means
-            pair = nested_interval_rep(prior, region, z_lo, z_hi)
-            rem = pair.remainder
-            mass_in = prior.mass(pair.inner)
-            mass_out = prior.mass(rem)
-            if mass_in > NEGLIGIBLE:
-                atoms.append((z_lo, mass_in))
-                cells[action_at(spec, z_lo)] = cells[action_at(spec, z_lo)].union(
-                    pair.inner
-                )
-            if mass_out > NEGLIGIBLE:
-                atoms.append((z_hi, mass_out))
-                cells[action_at(spec, z_hi)] = cells[action_at(spec, z_hi)].union(rem)
+            parts = nested_interval_rep(prior, region, z_lo, z_hi)
+            for part, loc in zip(parts, (z_lo, z_hi)):
+                mass = prior.mass(part)
+                if mass > NEGLIGIBLE:
+                    pool(part, loc, mass)
             out_segments.append(Segment(region, "bipooling", (z_lo, z_hi)))
-            continue
-        raise SpecError(f"unknown segment kind {seg.kind!r}")
+        else:
+            raise SpecError(f"unknown segment kind {seg.kind!r}")
 
+    revealed = IntervalUnion(tuple(shown))
     atoms.sort()
     payoff = sum(p * value_at(spec, x) for x, p in atoms)
+    cells = []
     for i, v in enumerate(spec.values):
-        payoff += v * prior.mass(revealed.intersect(spec.cell(i)))
+        seen = revealed.intersect(spec.cell(i))
+        payoff += v * prior.mass(seen)
+        cell = IntervalUnion((*pooled[i], *seen.pieces))
+        if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
+            cell = interval(spec.cutoffs[i], spec.cutoffs[i])
+        cells.append(cell)
 
     cutoff_atoms = [
         x
@@ -180,21 +180,11 @@ def _realize_segments(
     ]
     threshold = min(cutoff_atoms) if cutoff_atoms and len(cutoff_atoms) < len(atoms) else None
 
-    anchored = []
-    for i, cell in enumerate(cells):
-        if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
-            anchored.append(interval(spec.cutoffs[i], spec.cutoffs[i]))
-        else:
-            anchored.append(cell)
-
     dist = MeanDistribution(
-        tuple(atoms),
-        revealed=None if revealed.is_empty else revealed,
-        payoff=payoff,
-        pool_threshold=threshold,
+        tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
     )
     return BiPoolingSolution(
-        dist, tuple(out_segments), DeterministicRepresentation(tuple(anchored))
+        dist, tuple(out_segments), DeterministicRepresentation(tuple(cells))
     )
 
 

@@ -127,15 +127,15 @@ def cheap_talk_payoff(spec: GameSpec) -> float:
 
 @dataclass(frozen=True)
 class MeanDistribution:
-    """Distribution over posterior means: atoms plus an optional region
-    of full revelation where it coincides with the prior.
+    """Distribution over posterior means: atoms plus a region of full
+    revelation, a possibly empty union, where it coincides with the prior.
 
     pool_threshold, when set, upper-bounds every atom location that is
     not pinned to a cutoff; solvers fill it for diagnostics only.
     """
 
     atoms: tuple[tuple[float, float], ...]
-    revealed: Optional[IntervalUnion] = None
+    revealed: IntervalUnion = IntervalUnion.empty()
     payoff: float = 0.0
     pool_threshold: Optional[float] = None
 
@@ -149,40 +149,34 @@ class MeanDistribution:
             raise SpecError("atom probabilities must be nonnegative")
 
     def total_mass(self, prior: Prior) -> float:
-        total = sum(p for _, p in self.atoms)
-        if self.revealed is not None:
-            total += prior.mass(self.revealed)
-        return total
+        return sum(p for _, p in self.atoms) + prior.mass(self.revealed)
 
     def mean(self, prior: Prior) -> float:
         total = sum(x * p for x, p in self.atoms)
-        if self.revealed is not None:
-            for a, b in self.revealed.pieces:
-                total += prior.first_moment(b) - prior.first_moment(a)
+        for a, b in self.revealed.pieces:
+            total += prior.first_moment(b) - prior.first_moment(a)
         return total
 
     def expected_value(self, spec: GameSpec) -> float:
         total = sum(p * value_at(spec, x) for x, p in self.atoms)
-        if self.revealed is not None:
-            for i, v in enumerate(spec.values):
-                total += v * spec.prior.mass(self.revealed.intersect(spec.cell(i)))
+        for i, v in enumerate(spec.values):
+            total += v * spec.prior.mass(self.revealed.intersect(spec.cell(i)))
         return total
 
     def integrated_cdf(self, prior: Prior, x: float) -> float:
         """Integral of this distribution's cdf from 0 to x."""
         total = sum(p * max(0.0, x - loc) for loc, p in self.atoms)
-        if self.revealed is not None:
-            for a, b in self.revealed.pieces:
-                if x <= a:
-                    continue
-                hi = min(x, b)
-                total += (
-                    prior.integrated_cdf(hi)
-                    - prior.integrated_cdf(a)
-                    - prior.cdf(a) * (hi - a)
-                )
-                if x > b:
-                    total += (prior.cdf(b) - prior.cdf(a)) * (x - b)
+        for a, b in self.revealed.pieces:
+            if x <= a:
+                continue
+            hi = min(x, b)
+            total += (
+                prior.integrated_cdf(hi)
+                - prior.integrated_cdf(a)
+                - prior.cdf(a) * (hi - a)
+            )
+            if x > b:
+                total += (prior.cdf(b) - prior.cdf(a)) * (x - b)
         return total
 
     def validate(self, prior: Prior) -> list[str]:
@@ -210,7 +204,7 @@ def dominance_gap(prior: Prior, dist: MeanDistribution) -> float:
     the breakpoints and at one such peak per gap: O(atoms + revealed
     pieces) points.
     """
-    pieces = dist.revealed.pieces if dist.revealed is not None else ()
+    pieces = dist.revealed.pieces
     ends = sorted(
         {0.0, 1.0}
         | {x for x, _ in dist.atoms if 0.0 < x < 1.0}

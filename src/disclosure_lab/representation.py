@@ -63,9 +63,7 @@ def validate_representation(
     if rep.n_actions != spec.n_actions:
         problems.append("cell count does not match the action count")
         return problems
-    covered = IntervalUnion.empty()
-    for cell in rep.cells:
-        covered = covered.union(cell)
+    covered = IntervalUnion(tuple(p for cell in rep.cells for p in cell.pieces))
     gap = interval(0.0, 1.0).subtract(covered)
     if spec.prior.mass(gap) > AUDIT_TOL:
         problems.append(f"cells leave mass {spec.prior.mass(gap):.3e} uncovered")
@@ -100,7 +98,7 @@ def induced_distribution(
             continue
         atoms.append((spec.prior.partial_mean(cell), m))
         payoff += spec.values[i] * m
-    return MeanDistribution(tuple(atoms), revealed=None, payoff=payoff)
+    return MeanDistribution(tuple(atoms), payoff=payoff)
 
 
 @dataclass(frozen=True)
@@ -153,28 +151,11 @@ def is_incentive_compatible(
     the first failing action with the uncovered subinterval.
     """
     for i in range(spec.n_actions):
-        upper = IntervalUnion.empty()
-        for j in range(i, spec.n_actions):
-            upper = upper.union(rep.cells[j])
+        upper = IntervalUnion(tuple(p for cell in rep.cells[i:] for p in cell.pieces))
         missing = spec.cell(i).subtract(upper)
         if spec.prior.mass(missing) > AUDIT_TOL:
             return ICReport(False, i, missing)
     return ICReport(True)
-
-
-@dataclass(frozen=True)
-class NestedPair:
-    """A bi-pooled segment: outer region minus an inner interval forms
-    the high cell, the inner interval the low one."""
-
-    outer: IntervalUnion
-    inner: IntervalUnion
-    z_lo: float
-    z_hi: float
-
-    @property
-    def remainder(self) -> IntervalUnion:
-        return self.outer.subtract(self.inner)
 
 
 def _require_interval(outer: IntervalUnion) -> None:
@@ -184,9 +165,10 @@ def _require_interval(outer: IntervalUnion) -> None:
 
 def nested_interval_rep(
     prior: Prior, outer: IntervalUnion, z_lo: float, z_hi: float
-) -> NestedPair:
+) -> tuple[IntervalUnion, IntervalUnion]:
     """Split outer into an inner window with conditional mean z_lo and a
-    remainder with conditional mean z_hi.
+    remainder with conditional mean z_hi, and return (inner, remainder).
+    Either part is empty when the targets leave it no mass.
 
     The inner mass is pinned in advance by the barycenter identity
     mass(inner) = mass(outer) * (z_hi - m) / (z_hi - z_lo) with m the
@@ -205,7 +187,7 @@ def nested_interval_rep(
             raise SolverError(
                 f"degenerate targets need outer mean {m:.12g} equal to them"
             )
-        return NestedPair(outer, outer, z_lo, z_hi)
+        return outer, IntervalUnion.empty()
     if not (
         lo - AUDIT_TOL <= z_lo <= m + AUDIT_TOL
         and m - AUDIT_TOL <= z_hi <= hi + AUDIT_TOL
@@ -216,9 +198,9 @@ def nested_interval_rep(
     mass_in = total * (z_hi - m) / (z_hi - z_lo)
     mass_in = min(max(mass_in, 0.0), total)
     if mass_in >= total - NO_MEAN_MASS:
-        return NestedPair(outer, outer, z_lo, z_hi)
+        return outer, IntervalUnion.empty()
     if mass_in <= NO_MEAN_MASS:
-        return NestedPair(outer, IntervalUnion.empty(), z_lo, z_hi)
+        return IntervalUnion.empty(), outer
 
     F = prior.cdf
 
@@ -246,8 +228,7 @@ def nested_interval_rep(
         p_star = find_root(residual, lo, p_max)
     q_star = window_hi(p_star)
     inner = outer.intersect(interval(p_star, q_star))
-    pair = NestedPair(outer, inner, z_lo, z_hi)
-    rem = pair.remainder
+    rem = outer.subtract(inner)
     err_in = abs(prior.partial_mean(inner) - z_lo)
     err_out = (
         abs(prior.partial_mean(rem) - z_hi) if prior.mass(rem) > NEGLIGIBLE else 0.0
@@ -256,7 +237,7 @@ def nested_interval_rep(
         raise SolverError(
             f"nested pair residuals too large ({err_in:.3e}, {err_out:.3e})"
         )
-    return pair
+    return inner, rem
 
 
 def feasible_bipool(

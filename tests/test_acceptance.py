@@ -195,15 +195,15 @@ def test_criterion_8_nested_pair_residuals():
         z_hi = rng.uniform(m + 1e-3, b - 1e-3)
         if not feasible_bipool(prior, outer, float(z_lo), float(z_hi)):
             continue
-        pair = nested_interval_rep(prior, outer, float(z_lo), float(z_hi))
-        assert prior.partial_mean(pair.inner) == pytest.approx(
+        inner, rem = nested_interval_rep(prior, outer, float(z_lo), float(z_hi))
+        assert prior.partial_mean(inner) == pytest.approx(
             z_lo, abs=1e-9
         )
-        assert prior.partial_mean(pair.remainder) == pytest.approx(
+        assert prior.partial_mean(rem) == pytest.approx(
             z_hi, abs=1e-9
         )
         split = prior.mass(outer) * (z_hi - m) / (z_hi - z_lo)
-        assert prior.mass(pair.inner) == pytest.approx(split, abs=1e-9)
+        assert prior.mass(inner) == pytest.approx(split, abs=1e-9)
         done += 1
     print("criterion 8 PASS (100 nested pairs, residuals within 1e-9)")
 

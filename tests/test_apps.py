@@ -116,6 +116,33 @@ def test_price_that_buys_nothing():
         seller_to_game(m)
 
 
+def test_price_that_truncates_every_unit_away():
+    """The one cutoff sits at the state bound and is truncated, so no
+    unit is left: the reason is the seller's, not the game spec's."""
+    with pytest.warns(UserWarning, match="truncating"):
+        with pytest.raises(SpecError, match="no unit is ever worth buying"):
+            seller_to_game(crra_seller(0.5, 0.9999999999999))
+
+
+def table_seller(utility, price=0.5):
+    """A seller with the utility table U(0), ..., U(5)."""
+    values = [utility(q) for q in range(6)]
+    return SellerModel(utility={"kind": "table", "values": values}, price=price)
+
+
+def test_prudence_report_on_tables():
+    """Both readings of a table utility. q^0.8 is prudent, but its last
+    cutoff gap, up to 1, is wider than the one before, so the literal
+    chain fails. CARA has P = A < 2A, so it is not prudent, and its one
+    interior cutoff leaves a chain that holds."""
+    power = table_seller(lambda q: q**0.8)
+    rep = check_prudence(power)
+    assert (rep.ok, rep.prudent, rep.gap_chain_ok) == (True, True, False)
+    assert seller_to_game(power).n_actions == 6
+    rep = check_prudence(table_seller(lambda q: 1.0 - math.exp(-q)))
+    assert (rep.prudent, rep.gap_chain_ok) == (False, True)
+
+
 def test_price_too_low_to_close():
     with pytest.raises(SpecError, match="price too low"):
         seller_to_game(crra_seller(0.5, 1e-6))

@@ -403,6 +403,24 @@ def test_payoff_sweep_csv(capsys, tmp_path):
     assert zs == sorted(zs)
 
 
+def test_payoff_set_csv_solves_the_preferred_equilibrium_once(
+    capsys, monkeypatch, tmp_path
+):
+    from disclosure_lab import equilibrium
+
+    calls = []
+    solve = equilibrium.preferred_ore
+
+    def counted(spec):
+        calls.append(spec)
+        return solve(spec)
+
+    monkeypatch.setattr(equilibrium, "preferred_ore", counted)
+    code, _, _ = run(capsys, "payoff-set", str(SPECS / "exy.json"), "--csv", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_app_seller_then_solve(capsys):
     model = json.dumps(
         {"utility": {"kind": "crra", "sigma": 0.5}, "price": 0.35}
@@ -413,6 +431,36 @@ def test_app_seller_then_solve(capsys):
     assert doc["prudence"]["ok"] is True
     assert doc["game"]["cutoffs"][0] == 0
     assert "implementable" in doc["result"]
+
+
+def test_app_seller_that_buys_no_unit_says_so(capsys):
+    model = '{"utility":{"kind":"crra","sigma":0.5},"price":0.9999999999999}'
+    with pytest.warns(UserWarning, match="truncating"):
+        code, _, err = run(capsys, "app-seller", model)
+    assert code == 2
+    assert "no unit is ever worth buying at this price" in err
+
+
+@pytest.mark.parametrize(
+    "utility, prudent, chain, actions",
+    [
+        (lambda q: q**0.8, True, False, 6),
+        (lambda q: 1.0 - math.exp(-q), False, True, 2),
+    ],
+    ids=["power", "cara"],
+)
+def test_app_seller_table_prudence(capsys, utility, prudent, chain, actions):
+    model = json.dumps(
+        {"utility": {"kind": "table", "values": [utility(q) for q in range(6)]},
+         "price": 0.5}
+    )
+    code, out, _ = run(capsys, "app-seller", model)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["prudence"]["hypothesis"] is prudent
+    assert doc["prudence"]["ok"] is prudent
+    assert doc["prudence"]["cutoff_gap_chain"] is chain
+    assert len(doc["game"]["values"]) == actions
 
 
 def test_app_then_verb_writes_steps_once(capsys, caplog, monkeypatch, tmp_path):

@@ -93,7 +93,7 @@ def test_three_action_full_pool_golden(exs):
     sol = solve_three_action(exs)
     assert sol.payoff == pytest.approx(1.0, abs=1e-12)
     assert sol.distribution.atoms == ((0.5, 1.0),)
-    assert sol.distribution.revealed is None
+    assert sol.distribution.revealed.is_empty
 
 
 def test_three_action_golden_tight_cutoffs(exy):

@@ -238,7 +238,7 @@ def test_dominance_gap_evaluates_a_few_points(monkeypatch):
 
     for spec in specs:
         dist = commitment_solution(spec).distribution
-        pieces = len(dist.revealed.pieces) if dist.revealed is not None else 0
+        pieces = len(dist.revealed.pieces)
         seen.clear()
         monkeypatch.setattr(Prior, "integrated_cdf", counted)
         dominance_gap(spec.prior, dist)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from disclosure_lab import (
     DeterministicRepresentation,
     GameSpec,
+    IntervalUnion,
     SolverError,
     SpecError,
     check_prop2,
@@ -68,12 +69,12 @@ def nested_pair_oracle(prior, outer, z_lo, z_hi):
 def test_nested_rep_golden_equal_thirds():
     u = uniform_prior()
     outer = interval(8.0 / 48.0, 1.0)
-    pair = nested_interval_rep(u, outer, 1.0 / 3.0, 2.0 / 3.0)
+    inner, rem = nested_interval_rep(u, outer, 1.0 / 3.0, 2.0 / 3.0)
     assert_allclose(
-        pair.inner.pieces, [(11.0 / 48.0, 21.0 / 48.0)], atol=1e-8
+        inner.pieces, [(11.0 / 48.0, 21.0 / 48.0)], atol=1e-8
     )
-    assert u.partial_mean(pair.inner) == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert u.partial_mean(pair.remainder) == pytest.approx(
+    assert u.partial_mean(inner) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert u.partial_mean(rem) == pytest.approx(
         2.0 / 3.0, abs=1e-9
     )
 
@@ -81,9 +82,9 @@ def test_nested_rep_golden_equal_thirds():
 def test_nested_rep_golden_tight_cutoffs():
     u = uniform_prior()
     outer = interval(4.0 / 15.0, 1.0)
-    pair = nested_interval_rep(u, outer, 0.6, 0.7)
+    inner, _ = nested_interval_rep(u, outer, 0.6, 0.7)
     assert_allclose(
-        pair.inner.pieces, [(16.0 / 45.0, 38.0 / 45.0)], atol=1e-8
+        inner.pieces, [(16.0 / 45.0, 38.0 / 45.0)], atol=1e-8
     )
 
 
@@ -99,20 +100,20 @@ def test_nested_rep_matches_independent_root_finder():
     ]
     for prior in priors:
         for outer, z_lo, z_hi in cases:
-            pair = nested_interval_rep(prior, outer, z_lo, z_hi)
+            inner, _ = nested_interval_rep(prior, outer, z_lo, z_hi)
             a, b = nested_pair_oracle(prior, outer, z_lo, z_hi)
-            assert pair.inner.lo == pytest.approx(a, abs=1e-7)
-            assert pair.inner.hi == pytest.approx(b, abs=1e-7)
+            assert inner.lo == pytest.approx(a, abs=1e-7)
+            assert inner.hi == pytest.approx(b, abs=1e-7)
 
 
 def test_nested_rep_mass_split_identity():
     u = uniform_prior()
     outer = interval(0.1, 1.0)
     z_lo, z_hi = 0.4, 0.8
-    pair = nested_interval_rep(u, outer, z_lo, z_hi)
+    inner, _ = nested_interval_rep(u, outer, z_lo, z_hi)
     m = u.partial_mean(outer)
     want = u.mass(outer) * (z_hi - m) / (z_hi - z_lo)
-    assert u.mass(pair.inner) == pytest.approx(want, abs=1e-9)
+    assert u.mass(inner) == pytest.approx(want, abs=1e-9)
 
 
 def test_nested_rep_is_locally_unique():
@@ -121,8 +122,8 @@ def test_nested_rep_is_locally_unique():
     u = uniform_prior()
     outer = interval(0.1, 1.0)
     z_lo, z_hi = 0.45, 0.75
-    pair = nested_interval_rep(u, outer, z_lo, z_hi)
-    a, b = pair.inner.lo, pair.inner.hi
+    found, _ = nested_interval_rep(u, outer, z_lo, z_hi)
+    a, b = found.lo, found.hi
     for da, db in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
         inner = interval(a + da, b + db)
         r1 = abs(u.partial_mean(inner) - z_lo)
@@ -140,6 +141,30 @@ def test_infeasible_bipool_raises():
     u = uniform_prior()
     with pytest.raises((SpecError, SolverError)):
         nested_interval_rep(u, interval(0.0, 1.0), 0.25, 0.9)
+
+
+@pytest.mark.parametrize(
+    "z_lo, z_hi, split",
+    [
+        (0.5, 0.5, ("outer", "empty")),
+        (0.5, 0.8, ("outer", "empty")),
+        (0.2, 0.5, ("empty", "outer")),
+        (0.6, 0.8, "incompatible"),
+        (0.4, 0.4, "degenerate targets"),
+    ],
+)
+def test_nested_rep_degenerate_splits(z_lo, z_hi, split):
+    """The split's early returns and its straddle check on [0, 1], mean
+    0.5: a part the targets leave no mass is empty, and targets that
+    cannot average to the outer mean raise."""
+    u = uniform_prior()
+    outer = interval(0.0, 1.0)
+    if isinstance(split, str):
+        with pytest.raises(SolverError, match=split):
+            nested_interval_rep(u, outer, z_lo, z_hi)
+        return
+    parts = {"outer": outer, "empty": IntervalUnion.empty()}
+    assert nested_interval_rep(u, outer, z_lo, z_hi) == tuple(parts[p] for p in split)
 
 
 def test_representation_payoff_and_audits(gk2016):
