@@ -39,18 +39,39 @@ class SellerModel:
     prior: Prior = field(default_factory=uniform_prior)
 
 
+def _read_utility(utility) -> tuple[str, float | list[float]]:
+    """The utility's kind and its parameter, crra's sigma or the table's
+    values, as floats; anything malformed raises SpecError naming it."""
+    if not isinstance(utility, dict):
+        raise SpecError("utility must be an object with a kind")
+    kind = utility.get("kind")
+    key = {"crra": "sigma", "table": "values"}.get(kind)
+    if key is None:
+        raise SpecError(f"unknown utility kind {kind!r}")
+    if key not in utility:
+        raise SpecError(f"{kind} utility needs {key!r}")
+    try:
+        if kind == "crra":
+            return kind, float(utility["sigma"])
+        values = [float(v) for v in utility["values"]]
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"malformed {kind} utility: {err}") from err
+    if not values:
+        raise SpecError("utility table is empty")
+    return kind, values
+
+
 def _marginal_utilities(model: SellerModel) -> list[float]:
     """U(q) - U(q-1) for q = 1, 2, ... while positive and decreasing."""
-    kind = model.utility.get("kind")
+    kind, param = _read_utility(model.utility)
     if kind == "table":
-        vals = [float(v) for v in model.utility["values"]]
-        if abs(vals[0]) > INPUT_SLACK:
+        if abs(param[0]) > INPUT_SLACK:
             raise SpecError("utility table must start at zero")
-        gaps = [b - a for a, b in zip(vals, vals[1:])]
-    elif kind == "crra":
+        gaps = [b - a for a, b in zip(param, param[1:])]
+    else:
         # expand the parametric utility until the marginal drops below
         # the price, which bounds the relevant quantity range
-        sigma = float(model.utility["sigma"])
+        sigma = param
         if sigma <= 0.0:
             raise SpecError("crra sigma must be positive")
         gaps = []
@@ -62,8 +83,6 @@ def _marginal_utilities(model: SellerModel) -> list[float]:
                 break
         else:
             raise SpecError("price too low: quantity range does not close")
-    else:
-        raise SpecError(f"unknown utility kind {kind!r}")
     if any(g <= 0.0 for g in gaps):
         raise SpecError("utility must be strictly increasing")
     if any(b >= a - INPUT_SLACK for a, b in zip(gaps, gaps[1:])):
@@ -127,10 +146,9 @@ def _crra_prudence(sigma: float) -> bool:
     return 1.0 + sigma > 2.0 * sigma
 
 
-def _table_prudence(values: Sequence[float]) -> bool:
-    if len(values) < 4:
+def _table_prudence(v: Sequence[float]) -> bool:
+    if len(v) < 4:
         raise SpecError("utility table too short for curvature estimates")
-    v = [float(x) for x in values]
     q_max = len(v) - 1
     third = [v[k + 3] - 3 * v[k + 2] + 3 * v[k + 1] - v[k] for k in range(q_max - 2)]
     for q in range(1, q_max):
@@ -153,13 +171,8 @@ def check_prudence(model: SellerModel) -> PrudenceReport:
     literal cutoff-gap chain on the generated game; they can disagree
     and neither is silently reconciled.
     """
-    kind = model.utility.get("kind")
-    if kind == "crra":
-        prudent = _crra_prudence(float(model.utility["sigma"]))
-    elif kind == "table":
-        prudent = _table_prudence(model.utility["values"])
-    else:
-        raise SpecError(f"unknown utility kind {kind!r}")
+    kind, param = _read_utility(model.utility)
+    prudent = _crra_prudence(param) if kind == "crra" else _table_prudence(param)
     density_ok = _density_nondecreasing(model.prior)
     try:
         spec = seller_to_game(model)

@@ -248,7 +248,7 @@ _Y_BELOW_0 = "y below 0"
 def _nested_y(spec: GameSpec, b: float) -> tuple[float, float] | str:
     """(h, y) of the nested structure at its free endpoint b, or the name
     of the condition b fails: [h, b] has mean g1, [y, h] + [b, 1] mean g2.
-    At b = g2 it is the interior family of the preferred equilibrium."""
+    At b = g2 it is the preferred equilibrium."""
     prior = spec.prior
     g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
     if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:

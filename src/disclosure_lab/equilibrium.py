@@ -9,17 +9,14 @@ equilibrium at any payoff between unraveling and the preferred one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .design import BiPoolingSolution, _nested_y, commitment_solution
+from .design import _nested_y, commitment_solution
 from .game import GameSpec, unraveling_payoff
 from .prior import (
     AUDIT_TOL,
     INPUT_SLACK,
     LANDING_TOL,
-    MEAN_GUARD,
     NEGLIGIBLE,
-    TIE_MARGIN,
     IntervalUnion,
     Prior,
     SolverError,
@@ -35,7 +32,6 @@ from .representation import (
     Prop2Report,
     check_prop2,
     is_incentive_compatible,
-    is_laminar,
     is_obedient,
     representation_payoff,
 )
@@ -160,53 +156,17 @@ def _anchor(spec: GameSpec, i: int) -> IntervalUnion:
     return interval(spec.cutoffs[i], spec.cutoffs[i])
 
 
-def _preferred_candidates(spec: GameSpec):
-    """The two boundary families for a non-implementable three-action
-    game: the interior one with a low revealed-as-pool cell [0, y], and
-    the corner one with that cell empty."""
-    prior = spec.prior
-    g1, g2 = spec.cutoffs[1], spec.cutoffs[2]
-
-    # interior family: the nested structure at b = g2, so B_1 = [h, g2]
-    # has mean g1 and the top cell [y, h] + [g2, 1] mean g2
-    nested = _nested_y(spec, g2)
-    if not isinstance(nested, str):
-        h, y = nested
-        if h - y > NEGLIGIBLE:
-            top = IntervalUnion(((y, h), (g2, 1.0)))
-        else:
-            top = interval(g2, 1.0)
-        cells = (
-            interval(0.0, y) if y > NEGLIGIBLE else _anchor(spec, 0),
-            interval(h, g2),
-            top,
-        )
-        yield DeterministicRepresentation(cells)
-
-    # corner family: no low cell, top cell [0, h'] + [g2, 1] at mean g2
-    F, M = prior.cdf, prior.first_moment
-    top_f, top_m = F(1.0) - F(g2), M(1.0) - M(g2)
-
-    def corner_res(t: float) -> float:
-        return (M(t) + top_m) / (F(t) + top_f) - g2
-
-    if top_f > MEAN_GUARD and corner_res(0.0) > 0.0 and corner_res(g2) < 0.0:
-        h2 = find_root(corner_res, 0.0, g2)
-        cells = (
-            _anchor(spec, 0),
-            interval(h2, g2),
-            IntervalUnion(((0.0, h2), (g2, 1.0))),
-        )
-        yield DeterministicRepresentation(cells)
-
-
 def preferred_ore(spec: GameSpec) -> OREResult:
     """The sender's best equilibrium outcome.
 
     When the commitment outcome is implementable this is just its
-    canonical representation. Otherwise, for three actions, the top
-    cell is pooled to exactly the upper cutoff and the best feasible
-    variant of that family wins.
+    canonical representation. Otherwise, for three actions, it is the
+    nested structure at b = g2: B_1 = [h, g2] pooled at g1, the top cell
+    [y, h] + [g2, 1] pooled at g2, and the low cell [0, y]. A design
+    with no low cell is obedient only when mean([0, h] + [g2, 1]) >= g2,
+    and then the commitment outcome is implementable, so this one
+    construction is the answer. It is audited with verify_ore before it
+    is returned.
     """
     if spec.n_actions > 3:
         raise SpecError(
@@ -216,16 +176,20 @@ def preferred_ore(spec: GameSpec) -> OREResult:
     report = implementable(spec)
     if report.implementable:
         return OREResult(report.canonical, report.commitment_payoff, True)
-    best: Optional[tuple[float, DeterministicRepresentation]] = None
-    for rep in _preferred_candidates(spec):
+    g2 = spec.cutoffs[2]
+    nested = _nested_y(spec, g2)
+    if not isinstance(nested, str):
+        h, y = nested
+        if h - y > NEGLIGIBLE:
+            top = IntervalUnion(((y, h), (g2, 1.0)))
+        else:
+            top = interval(g2, 1.0)
+        low = interval(0.0, y) if y > NEGLIGIBLE else _anchor(spec, 0)
+        rep = DeterministicRepresentation((low, interval(h, g2), top))
         audit = verify_ore(spec, rep)
-        if not audit.ok:
-            continue
-        if best is None or audit.payoff > best[0] + TIE_MARGIN:
-            best = (audit.payoff, rep)
-    if best is None:
-        raise SolverError("no obedient incentive-compatible candidate found")
-    return OREResult(best[1], best[0], False)
+        if audit.ok:
+            return OREResult(rep, audit.payoff, False)
+    raise SolverError("no obedient incentive-compatible candidate found")
 
 
 def payoff_bounds(spec: GameSpec) -> tuple[float, float]:

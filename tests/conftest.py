@@ -53,6 +53,24 @@ def random_many_action(rng: np.random.Generator) -> GameSpec:
     return GameSpec(prior, (0.0, *cuts.tolist(), 1.0), tuple(values.tolist()))
 
 
+def random_cni_many_action(rng: np.random.Generator) -> GameSpec:
+    """Four to six actions meeting check_cni: a uniform prior or a two-
+    to four-knot plinear one with sorted densities, cutoff gaps sorted
+    to shrink and value steps sorted to grow."""
+    n = int(rng.integers(4, 7))
+    if rng.uniform() < 0.5:
+        prior = uniform_prior()
+    else:
+        inner = np.sort(rng.uniform(0.1, 0.9, size=int(rng.integers(0, 3))))
+        knots = (0.0, *inner.tolist(), 1.0)
+        density = np.sort(rng.uniform(0.3, 2.0, size=len(knots)))
+        prior = plinear_prior(knots, density.tolist())
+    gaps = -np.sort(-rng.uniform(0.5, 1.5, size=n))
+    cuts = np.cumsum(gaps / gaps.sum())[:-1]
+    values = np.concatenate([[0.0], np.cumsum(np.sort(rng.uniform(0.3, 1.5, size=n - 1)))])
+    return GameSpec(prior, (0.0, *cuts.tolist(), 1.0), tuple(values.tolist()))
+
+
 def random_gapped_prior(rng: np.random.Generator) -> Prior:
     """A four- to eight-knot plinear prior whose knot densities are each
     0 with probability 2/3, so the prior has zero-density stretches and
@@ -80,6 +98,26 @@ def random_gapped_many_action(rng: np.random.Generator) -> GameSpec:
     random_gapped_prior."""
     game = random_many_action(rng)
     return GameSpec(random_gapped_prior(rng), game.cutoffs, game.values)
+
+
+def random_plinear_game(rng: np.random.Generator) -> GameSpec:
+    """Three actions on a plinear prior of 2-6 knots: inner knots from
+    U(0.01, 0.99), knot densities from Exp(1), each 0 with probability
+    0.15; cutoffs from U(0.01, 0.99) at least 0.005 apart, and values
+    (0, 1, U(1.01, 8)). Draws whose densities are all 0 are redrawn."""
+    while True:
+        k = int(rng.integers(2, 7))
+        knots = (0.0, *np.sort(rng.uniform(0.01, 0.99, size=k - 2)).tolist(), 1.0)
+        density = rng.exponential(1.0, size=k)
+        density = np.where(rng.uniform(size=k) < 0.15, 0.0, density)
+        while True:
+            g1, g2 = np.sort(rng.uniform(0.01, 0.99, size=2)).tolist()
+            if g2 - g1 >= 0.005:
+                break
+        v2 = float(rng.uniform(1.01, 8.0))
+        if density.any():
+            prior = plinear_prior(knots, density.tolist())
+            return GameSpec(prior, (0.0, g1, g2, 1.0), (0.0, 1.0, v2))
 
 
 # Two games whose top window is a sliver. In the first, the window

@@ -271,3 +271,19 @@ def test_sweep_implementable_regime():
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(SpecError):
         voting_comparative_statics(sweep_model(1.05), [0.0], "gamma")
+
+
+@pytest.mark.parametrize(
+    "utility, message",
+    [
+        ({"kind": "table"}, "table utility needs 'values'"),
+        ({"kind": "crra"}, "crra utility needs 'sigma'"),
+        ("crra", "utility must be an object with a kind"),
+    ],
+)
+def test_malformed_utility_is_a_spec_error(utility, message):
+    """The game and the prudence check read a utility the same way."""
+    model = SellerModel(utility=utility, price=0.5)
+    for read in (seller_to_game, check_prudence):
+        with pytest.raises(SpecError, match=message):
+            read(model)

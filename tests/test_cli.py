@@ -442,6 +442,44 @@ def test_app_seller_that_buys_no_unit_says_so(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("app-seller", '{"utility":{"kind":"table"},"price":0.5}'),
+         "table utility needs 'values'"),
+        (("app-seller", '{"utility":{"kind":"crra"},"price":0.5}'),
+         "crra utility needs 'sigma'"),
+        (("app-seller", '{"utility":"crra","price":0.5}'),
+         "utility must be an object with a kind"),
+        (("app-seller", '{"utility":{"kind":"table","values":[0,"a",2]},"price":0.5}'),
+         "malformed table utility"),
+        (("app-seller", '{"utility":{"kind":"table","values":[]},"price":0.5}'),
+         "utility table is empty"),
+        (("app-seller", '{"utility":{"kind":"cara"},"price":0.5}'),
+         "unknown utility kind 'cara'"),
+        (("app-seller", SELLER, "--then", "ore-at"), "ore-at requires --target"),
+        (("solve", '{"prior": '), "inline JSON does not parse"),
+        (("solve", "{bad}"), "does not parse as JSON"),
+        (("app-seller", "{list}"), "seller model must be a JSON object"),
+        (("app-seller", '{"price":0.5}'), "seller model missing fields: utility"),
+        (("app-voting", "{list}"), "voting model must be a JSON object"),
+        (("app-voting", '{"voters":[]}'), "voting model missing fields: v_ab, v_b"),
+        (("app-voting", '{"voters":[{}],"v_ab":1,"v_b":2}'),
+         "malformed voting model"),
+        (("app-voting", VOTER, "--sweep", "0,x"), "bad --sweep list"),
+    ],
+)
+def test_malformed_app_and_loader_inputs_exit_two(capsys, tmp_path, argv, message):
+    (tmp_path / "bad.json").write_text('{"cutoffs": [0.0,')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    files = {"{bad}": tmp_path / "bad.json", "{list}": tmp_path / "list.json"}
+    argv = [str(files.get(a, a)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "utility, prudent, chain, actions",
     [
         (lambda q: q**0.8, True, False, 6),

@@ -25,10 +25,13 @@ from disclosure_lab import (
     unraveling_payoff,
     verify_ore,
 )
+from disclosure_lab.design import _nested_y
 
 from conftest import (
+    random_cni_many_action,
     random_gapped_game,
     random_gapped_many_action,
+    random_plinear_game,
     random_three_action,
 )
 
@@ -115,6 +118,27 @@ def test_preferred_golden_endpoints(exy):
     audit = verify_ore(exy, res.rep)
     assert audit.ok
     assert audit.payoff == pytest.approx(res.payoff, abs=1e-12)
+
+
+def test_preferred_is_the_nested_structure_at_g2():
+    """A game with no nested structure at b = g2 is implementable, so
+    preferred_ore needs no other family: wherever the commitment outcome
+    is not an equilibrium, the nested structure at g2 is one."""
+    rng = np.random.default_rng(17)
+    no_family = not_implementable = 0
+    for _ in range(1000):
+        spec = random_plinear_game(rng)
+        report = implementable(spec)
+        if isinstance(_nested_y(spec, spec.cutoffs[2]), str):
+            no_family += 1
+            assert report.implementable
+        if not report.implementable:
+            not_implementable += 1
+            result = preferred_ore(spec)
+            assert not result.coincides_with_commitment
+            assert verify_ore(spec, result.rep).ok
+    # both branches run on this draw
+    assert no_family >= 100 and not_implementable >= 10
 
 
 def test_preferred_rejects_many_actions():
@@ -208,6 +232,19 @@ def test_sufficient_conditions_are_sound():
             fired += 1
             assert implementable(spec).implementable
     assert fired >= 3
+
+
+def test_cni_implies_an_equilibrium_for_many_actions():
+    """The paper's theorem for four to six actions: under CNI the
+    commitment outcome is an equilibrium outcome, and its canonical
+    representation is incentive compatible."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        spec = random_cni_many_action(rng)
+        assert check_cni(spec)
+        report = implementable(spec)
+        assert report.implementable
+        assert is_incentive_compatible(spec, report.canonical).ok
 
 
 def test_unraveling_matches_lower_bound(gk2016, exs, exy):
