@@ -85,9 +85,10 @@ def _dump(obj, indent: int = 0) -> str:
 
 
 def _load_json(arg: str):
-    """Accept either a path to a JSON file or the JSON text itself."""
+    """Accept either a path to a JSON file or the JSON text itself: an
+    argument that starts with { or [ is JSON text."""
     text = arg.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         try:
             return json.loads(text)
         except json.JSONDecodeError as err:
@@ -253,15 +254,11 @@ def _write_intervals(
 def _write_payoff_sweep(
     directory: str, spec: GameSpec, base: DeterministicRepresentation
 ) -> None:
-    from .equilibrium import sweep_representation
-    from .representation import representation_payoff
+    from .equilibrium import payoff_path
 
+    path = payoff_path(spec, base)
     z_hi = spec.cutoffs[spec.n_actions - 1]
-    rows = []
-    for j in range(101):
-        z = z_hi * j / 100.0
-        rep = sweep_representation(spec, base, z)
-        rows.append((z, representation_payoff(spec, rep)))
+    rows = [(z, path(z)) for z in (z_hi * j / 100.0 for j in range(101))]
     _write_csv(_csv_path(directory, "sweep.csv"), ("z", "payoff"), rows)
 
 

@@ -6,7 +6,8 @@ contractions of the prior. Optimal solutions partition the state space
 into segments that are either revealed or pooled, where a pooled
 segment carries one posterior mean and a bi-pooled segment carries
 two. For two and three actions this module enumerates the candidate
-structures in closed form; for larger games it solves for one atom per
+structures in closed form, prices each on the prior and builds the
+cells of the best one only; for larger games it solves for one atom per
 action cell under the prior's Lorenz-curve constraints, and reads the
 segments off the binding ones, with a small dense simplex of its own.
 A grid LP (``lp_value``) stays as the oracle the exact solvers are
@@ -86,13 +87,12 @@ class BiPoolingSolution:
         return self.distribution.payoff
 
 
-def _realize_segments(
-    spec: GameSpec, segments: list[Segment]
-) -> BiPoolingSolution:
-    """Turn a segment structure into exact cells and atoms, priced out.
+def _place_segments(spec: GameSpec, segments: list[Segment]) -> tuple:
+    """Place a segment structure on the prior and price it, building no
+    cell: the first pass of ``_realize_segments``.
 
-    Every output is recomputed from the prior itself, so the returned
-    distribution is a mean-preserving contraction regardless of how
+    Every output is recomputed from the prior itself, so the placed
+    atoms form a mean-preserving contraction regardless of how
     approximate the incoming segment annotations were. A pooled segment
     whose recomputed mean falls on the wrong side of the cutoff its
     annotated mean sits on is trimmed: the left sliver is revealed and
@@ -102,8 +102,9 @@ def _realize_segments(
     states never cross.
 
     One pass assigns each pooled part to its atom's action and each
-    revealed region to the revealed set. The revealed union, each cell
-    and the payoff are then built once, at the end.
+    revealed region to the revealed set. Returns the tuple (payoff,
+    sorted atoms, pooled pieces per action, revealed union, its
+    intersection with each action's cell, segments).
     """
     prior = spec.prior
     support = interval(0.0, prior.support_end)
@@ -164,11 +165,21 @@ def _realize_segments(
     revealed = IntervalUnion(tuple(shown))
     atoms.sort()
     payoff = sum(p * value_at(spec, x) for x, p in atoms)
-    cells = []
+    seen = []
     for i, v in enumerate(spec.values):
-        seen = revealed.intersect(spec.cell(i))
-        payoff += v * prior.mass(seen)
-        cell = IntervalUnion((*pooled[i], *seen.pieces))
+        seen.append(revealed.intersect(spec.cell(i)))
+        payoff += v * prior.mass(seen[-1])
+    return payoff, atoms, pooled, revealed, seen, out_segments
+
+
+def _assemble(spec: GameSpec, placed: tuple) -> BiPoolingSolution:
+    """Build a placed structure's cells, distribution and canonical
+    representation: the second pass of ``_realize_segments``."""
+    payoff, atoms, pooled, revealed, seen, segments = placed
+    prior = spec.prior
+    cells = []
+    for i, part in enumerate(seen):
+        cell = IntervalUnion((*pooled[i], *part.pieces))
         if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
             cell = interval(spec.cutoffs[i], spec.cutoffs[i])
         cells.append(cell)
@@ -184,8 +195,13 @@ def _realize_segments(
         tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
     )
     return BiPoolingSolution(
-        dist, tuple(out_segments), DeterministicRepresentation(tuple(cells))
+        dist, tuple(segments), DeterministicRepresentation(tuple(cells))
     )
+
+
+def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
+    """Turn a segment structure into exact cells and atoms, priced out."""
+    return _assemble(spec, _place_segments(spec, segments))
 
 
 def _top_pool(prior: Prior, g: float) -> tuple[float, list[Segment]]:
@@ -338,17 +354,18 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
 
 
 def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
-    """Exact commitment optimum for two or three actions: the best
-    realized payoff among the candidate segment structures."""
+    """Exact commitment optimum for two or three actions. Every candidate
+    segment structure is placed and priced; only the best, with ties
+    resolved toward the earlier candidate, is assembled."""
     if spec.n_actions != n_actions:
         raise SpecError(f"this solver needs exactly {n_actions} actions")
-    best: Optional[BiPoolingSolution] = None
+    best: Optional[tuple] = None
     for _, segs in _small_game_candidates(spec):
-        sol = _realize_segments(spec, segs)
-        if best is None or sol.payoff > best.payoff + TIE_MARGIN:
-            best = sol
+        placed = _place_segments(spec, segs)
+        if best is None or placed[0] > best[0] + TIE_MARGIN:
+            best = placed
     assert best is not None
-    return best
+    return _assemble(spec, best)
 
 
 def solve_two_action(spec: GameSpec) -> BiPoolingSolution:

@@ -9,6 +9,7 @@ equilibrium at any payoff between unraveling and the preferred one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .design import _nested_y, commitment_solution
 from .game import GameSpec, unraveling_payoff
@@ -214,12 +215,39 @@ def sweep_representation(
     return DeterministicRepresentation(tuple(cells))
 
 
+def payoff_path(
+    spec: GameSpec, base: DeterministicRepresentation
+) -> Callable[[float], float]:
+    """The sender's payoff of ``sweep_representation(spec, base, z)`` as a
+    function of z, priced on the prior's cdf with no union built.
+
+    Cell i keeps the part of its base pieces [a, b] above z and gains
+    the part of its own action cell [g_i, g_{i+1}] below z; the two meet
+    at most in the point z, so its mass is
+
+        sum (F(max(b, z)) - F(max(a, z))) + F(min(g_{i+1}, z)) - F(min(g_i, z)).
+    """
+    F, g = spec.prior.cdf, spec.cutoffs
+
+    def path(z: float) -> float:
+        total = 0.0
+        for i, (v, cell) in enumerate(zip(spec.values, base.cells)):
+            kept = sum(F(max(b, z)) - F(max(a, z)) for a, b in cell.pieces)
+            total += v * (kept + (F(min(g[i + 1], z)) - F(min(g[i], z))))
+        return total
+
+    return path
+
+
 def ore_at_payoff(spec: GameSpec, target: float) -> DeterministicRepresentation:
     """An equilibrium representation with the given sender payoff.
 
     Sweeps a revelation threshold z from the preferred equilibrium (no
     extra revelation) toward full disclosure at the top cutoff, and
     finds the z at which the continuous payoff path meets the target.
+    The path is priced on the prior's cdf (``payoff_path``); the
+    representation at the root is then built and its payoff audited
+    against the target.
     """
     base = preferred_ore(spec).rep
     r_u = unraveling_payoff(spec)
@@ -231,9 +259,7 @@ def ore_at_payoff(spec: GameSpec, target: float) -> DeterministicRepresentation:
     if abs(target - r_s) <= AUDIT_TOL:
         return base
 
-    def payoff_at(z: float) -> float:
-        return representation_payoff(spec, sweep_representation(spec, base, z))
-
+    payoff_at = payoff_path(spec, base)
     z_hi = spec.cutoffs[spec.n_actions - 1]
     if payoff_at(z_hi) >= target:
         # the range check lets a target sit a little below the path's end

@@ -466,6 +466,10 @@ def test_app_seller_that_buys_no_unit_says_so(capsys):
         (("app-voting", '{"voters":[{}],"v_ab":1,"v_b":2}'),
          "malformed voting model"),
         (("app-voting", VOTER, "--sweep", "0,x"), "bad --sweep list"),
+        (("app-seller", "[1, 2]"), "seller model must be a JSON object"),
+        (("app-voting", " [1, 2]"), "voting model must be a JSON object"),
+        (("solve", "[1, 2]"), "game spec must be a JSON object"),
+        (("solve", "[1, 2"), "inline JSON does not parse"),
     ],
 )
 def test_malformed_app_and_loader_inputs_exit_two(capsys, tmp_path, argv, message):

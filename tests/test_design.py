@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from disclosure_lab import (
+    BiPoolingSolution,
     GameSpec,
     IntervalUnion,
     MeanDistribution,
@@ -21,24 +22,28 @@ from disclosure_lab import (
     is_laminar,
     is_obedient,
     lp_value,
+    ore_at_payoff,
     plinear_prior,
     preferred_ore,
     seller_to_game,
     solve_three_action,
     solve_two_action,
     uniform_prior,
+    unraveling_payoff,
     value_at,
 )
 from disclosure_lab import cli, design, equilibrium, representation
 from disclosure_lab import prior as prior_module
 from disclosure_lab.design import _DualSimplex, _solve_cells
-from disclosure_lab.prior import LP_TOL, find_root, solve_h
+from disclosure_lab.prior import LP_TOL, TIE_MARGIN, find_root, solve_h
 
 from conftest import (
     SLIVER_WINDOW_GAMES,
     random_gapped_game,
     random_gapped_many_action,
+    random_gapped_prior,
     random_many_action,
+    random_plinear_game,
     random_three_action,
 )
 
@@ -379,12 +384,56 @@ def test_solution_reaches_the_end_of_a_faint_tail():
     assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
 
 
+def _best_realized(spec):
+    """The small-game solver's answer the long way: every candidate
+    realized in full, and the best kept, ties resolved toward the
+    earlier candidate."""
+    best = None
+    for _, segs in design._small_game_candidates(spec):
+        sol = design._realize_segments(spec, segs)
+        if best is None or sol.payoff > best.payoff + TIE_MARGIN:
+            best = sol
+    return best
+
+
+def test_small_game_solver_assembles_only_the_winner(monkeypatch):
+    """Pricing every candidate and assembling the best gives the same
+    solution as realizing every candidate, and builds one
+    BiPoolingSolution per solve."""
+    rng = np.random.default_rng(31)
+    specs = [
+        GameSpec(prior, (0.0, float(rng.uniform(0.05, 0.95)), 1.0), (0.0, 1.0))
+        for prior in [uniform_prior()] * 5 + [random_gapped_prior(rng) for _ in range(10)]
+    ]
+    for draw in (random_three_action, random_gapped_game, random_plinear_game):
+        specs += [draw(rng) for _ in range(15)]
+    built = []
+    init = BiPoolingSolution.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiPoolingSolution, "__init__", counting_init)
+    realized = 0
+    for spec in specs:
+        built.clear()
+        want = repr(_best_realized(spec))
+        realized += len(built)
+        built.clear()
+        assert repr(commitment_solution(spec)) == want
+        assert len(built) == 1
+    # the reference realizes 2.5 candidates per solve on these games
+    assert realized > 2 * len(specs)
+
+
 def test_no_root_finder_residual_builds_an_interval_union(
     gk2016, exs, exy, monkeypatch
 ):
-    """Every residual the three solves hand to find_root is written on
-    the prior's cdf and first moment: none builds an IntervalUnion, whose
-    normalisation would run at every root-finder step."""
+    """Every residual the three solves and ore_at_payoff hand to
+    find_root is written on the prior's cdf and first moment: none builds
+    an IntervalUnion, whose normalisation would run at every root-finder
+    step."""
     depth, built = [0], []
     post_init = IntervalUnion.__post_init__
 
@@ -413,7 +462,8 @@ def test_no_root_finder_residual_builds_an_interval_union(
     for spec in [gk2016, exs, exy] + [random_gapped_game(rng) for _ in range(20)]:
         commitment_solution(spec)
         implementable(spec)
-        preferred_ore(spec)
+        low, high = unraveling_payoff(spec), preferred_ore(spec).payoff
+        ore_at_payoff(spec, low + 0.4 * (high - low))
     assert built == []
 
 

@@ -26,6 +26,7 @@ from disclosure_lab import (
     verify_ore,
 )
 from disclosure_lab.design import _nested_y
+from disclosure_lab.equilibrium import payoff_path
 
 from conftest import (
     random_cni_many_action,
@@ -208,11 +209,13 @@ def test_ore_at_two_actions():
 
 def test_sweep_keeps_equilibrium_property(exy):
     base = preferred_ore(exy).rep
+    path = payoff_path(exy, base)
     payoffs = []
     for z in np.linspace(0.0, 0.7, 8):
         rep = sweep_representation(exy, base, float(z))
         audit = verify_ore(exy, rep)
         assert audit.ok, f"sweep broke at z={z}"
+        assert path(float(z)) == pytest.approx(audit.payoff, abs=1e-14)
         payoffs.append(audit.payoff)
     assert payoffs[0] == pytest.approx(EXY_PREFERRED, abs=1e-7)
     assert payoffs[-1] == pytest.approx(0.49, abs=1e-9)

@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module; names
-used only in annotations, TYPE_CHECKING imports included, count as used."""
+used only in annotations, TYPE_CHECKING imports included, count as used.
+Every private name a package module defines at its top level is read
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -54,4 +56,45 @@ def test_every_import_is_used():
         ]
     assert unused == []
     # the scan finds imports, so it cannot pass by seeing none
+    assert seen > 0
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private function, class or constant a module defines at its
+    top level, dunders aside, with the line of its definition."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _read(tree: ast.AST) -> set[str]:
+    """Names the module reads, bare or as an attribute of another."""
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _used(tree) | attrs
+
+
+def test_every_private_name_is_read():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = set().union(*(_read(tree) for tree in trees.values()))
+    seen = 0
+    unread = []
+    for name, tree in trees.items():
+        private = _private_definitions(tree)
+        seen += len(private)
+        unread += [f"{name}:{line}: {p}" for p, line in private.items() if p not in read]
+    assert unread == []
+    # the scan finds private definitions, so it cannot pass by seeing none
     assert seen > 0
