@@ -6,10 +6,12 @@ contractions of the prior. Optimal solutions partition the state space
 into segments that are either revealed or pooled, where a pooled
 segment carries one posterior mean and a bi-pooled segment carries
 two. For two and three actions this module enumerates the candidate
-structures in closed form, prices each on the prior and builds the
-cells of the best one only; for larger games it solves for one atom per
-action cell under the prior's Lorenz-curve constraints, and reads the
-segments off the binding ones, with a small dense simplex of its own.
+structures in closed form, prices each on the prior's cdf and first
+moment, with no interval union built and no bi-pool split, and builds
+the cells of the best one only. For larger games it solves for one
+atom per action cell under the prior's Lorenz-curve constraints, and
+reads the segments off the binding ones, with a small dense simplex of
+its own.
 A grid LP (``lp_value``) stays as the oracle the exact solvers are
 checked against.
 
@@ -36,6 +38,7 @@ from .prior import (
     LP_TOL,
     MEAN_GUARD,
     NEGLIGIBLE,
+    NO_MEAN_MASS,
     PIVOT_CAP,
     PIVOT_TOL,
     SNAP_TOL,
@@ -87,24 +90,24 @@ class BiPoolingSolution:
         return self.distribution.payoff
 
 
-def _place_segments(spec: GameSpec, segments: list[Segment]) -> tuple:
-    """Place a segment structure on the prior and price it, building no
-    cell: the first pass of ``_realize_segments``.
+def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
+    """Turn a segment structure into exact cells and atoms, priced out.
 
-    Every output is recomputed from the prior itself, so the placed
-    atoms form a mean-preserving contraction regardless of how
+    Every output is recomputed from the prior itself, so the returned
+    distribution is a mean-preserving contraction regardless of how
     approximate the incoming segment annotations were. A pooled segment
     whose recomputed mean falls on the wrong side of the cutoff its
     annotated mean sits on is trimmed: the left sliver is revealed and
     the rest pooled to exactly that cutoff, or all of it revealed when
     no mass is left to pool there. Regions stop where the prior's mass
     does, so no cell reaches through an empty tail past a cutoff its
-    states never cross.
+    states never cross. A bi-pooled segment is split by
+    ``nested_interval_rep``.
 
     One pass assigns each pooled part to its atom's action and each
-    revealed region to the revealed set. Returns the tuple (payoff,
-    sorted atoms, pooled pieces per action, revealed union, its
-    intersection with each action's cell, segments).
+    revealed region to the revealed set. The revealed union, each cell
+    and the payoff are then built once, at the end. ``_price_segments``
+    gives the same payoff without building any of them.
     """
     prior = spec.prior
     support = interval(0.0, prior.support_end)
@@ -165,21 +168,11 @@ def _place_segments(spec: GameSpec, segments: list[Segment]) -> tuple:
     revealed = IntervalUnion(tuple(shown))
     atoms.sort()
     payoff = sum(p * value_at(spec, x) for x, p in atoms)
-    seen = []
-    for i, v in enumerate(spec.values):
-        seen.append(revealed.intersect(spec.cell(i)))
-        payoff += v * prior.mass(seen[-1])
-    return payoff, atoms, pooled, revealed, seen, out_segments
-
-
-def _assemble(spec: GameSpec, placed: tuple) -> BiPoolingSolution:
-    """Build a placed structure's cells, distribution and canonical
-    representation: the second pass of ``_realize_segments``."""
-    payoff, atoms, pooled, revealed, seen, segments = placed
-    prior = spec.prior
     cells = []
-    for i, part in enumerate(seen):
-        cell = IntervalUnion((*pooled[i], *part.pieces))
+    for i, v in enumerate(spec.values):
+        seen = revealed.intersect(spec.cell(i))
+        payoff += v * prior.mass(seen)
+        cell = IntervalUnion((*pooled[i], *seen.pieces))
         if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
             cell = interval(spec.cutoffs[i], spec.cutoffs[i])
         cells.append(cell)
@@ -195,13 +188,86 @@ def _assemble(spec: GameSpec, placed: tuple) -> BiPoolingSolution:
         tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
     )
     return BiPoolingSolution(
-        dist, tuple(segments), DeterministicRepresentation(tuple(cells))
+        dist, tuple(out_segments), DeterministicRepresentation(tuple(cells))
     )
 
 
-def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
-    """Turn a segment structure into exact cells and atoms, priced out."""
-    return _assemble(spec, _place_segments(spec, segments))
+def _price_segments(spec: GameSpec, segments: list[Segment]) -> float:
+    """The payoff ``_realize_segments`` gives a segment structure, read
+    off the prior's cdf and first moment at each segment's window ends.
+
+    It keeps every rule of the realization: the clip to the support end,
+    the NEGLIGIBLE skips, the snap of each pooled mean and the trim of a
+    pool whose mean slips below its cutoff. A bi-pool's two masses come
+    from the barycenter identity mass(inner) = mass(outer) (z_hi - m) /
+    (z_hi - z_lo), with ``nested_interval_rep``'s early returns, so no
+    split is searched for and a split that would fail is priced all the
+    same: only the structure that wins can raise. It builds no
+    IntervalUnion, and calls ``find_root`` only through the trim's
+    ``solve_h``. Every segment's outer must be one interval.
+    """
+    prior = spec.prior
+    F, M = prior.cdf, prior.first_moment
+    end = prior.support_end
+    shown: list[tuple[float, float]] = []
+    atoms: list[tuple[float, float]] = []
+
+    for seg in sorted(segments, key=lambda s: s.outer.lo):
+        if len(seg.outer.pieces) != 1:
+            raise SpecError(f"segment {seg.outer.pieces!r} is not one interval")
+        lo, hi = seg.outer.pieces[0]
+        hi = min(hi, end)
+        mass = F(hi) - F(lo)
+        if mass <= NEGLIGIBLE:
+            continue
+        if seg.kind == "revealed":
+            shown.append((lo, hi))
+        elif seg.kind == "pooling":
+            target = seg.means[0]
+            want = action_at(spec, target)
+            loc = _snap_loc(spec, (M(hi) - M(lo)) / mass, target)
+            if action_at(spec, loc) < want:  # the trim
+                cut = spec.cutoffs[want]
+                x = max(solve_h(prior, cut, hi), lo)
+                mass = F(hi) - F(x)
+                if mass <= NEGLIGIBLE:
+                    shown.append((lo, hi))
+                    continue
+                if F(x) - F(lo) > NEGLIGIBLE:
+                    shown.append((lo, x))
+                loc = _snap_loc(spec, (M(hi) - M(x)) / mass, cut)
+            atoms.append((loc, mass))
+        elif seg.kind == "bipooling":
+            z_lo, z_hi = seg.means
+            inner = mass
+            if z_hi - z_lo > MEAN_GUARD:
+                m = (M(hi) - M(lo)) / mass
+                inner = min(max(mass * (z_hi - m) / (z_hi - z_lo), 0.0), mass)
+                if inner >= mass - NO_MEAN_MASS:
+                    inner = mass
+                elif inner <= NO_MEAN_MASS:
+                    inner = 0.0
+            for loc, part in ((z_lo, inner), (z_hi, mass - inner)):
+                if part > NEGLIGIBLE:
+                    atoms.append((loc, part))
+        else:
+            raise SpecError(f"unknown segment kind {seg.kind!r}")
+
+    # the revealed pieces merged as IntervalUnion merges them, so each
+    # cell's revealed mass sums the same cdf differences as in the realization
+    merged: list[list[float]] = []
+    for lo, hi in sorted(shown):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    atoms.sort()
+    payoff = sum(p * value_at(spec, x) for x, p in atoms)
+    for v, c, d in zip(spec.values, spec.cutoffs, spec.cutoffs[1:]):
+        payoff += v * sum(
+            F(min(b, d)) - F(max(a, c)) for a, b in merged if max(a, c) <= min(b, d)
+        )
+    return payoff
 
 
 def _top_pool(prior: Prior, g: float) -> tuple[float, list[Segment]]:
@@ -355,17 +421,17 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
 
 def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
     """Exact commitment optimum for two or three actions. Every candidate
-    segment structure is placed and priced; only the best, with ties
-    resolved toward the earlier candidate, is assembled."""
+    segment structure is priced by ``_price_segments``; only the best,
+    with ties resolved toward the earlier candidate, is realized."""
     if spec.n_actions != n_actions:
         raise SpecError(f"this solver needs exactly {n_actions} actions")
-    best: Optional[tuple] = None
+    best: Optional[list[Segment]] = None
     for _, segs in _small_game_candidates(spec):
-        placed = _place_segments(spec, segs)
-        if best is None or placed[0] > best[0] + TIE_MARGIN:
-            best = placed
+        payoff = _price_segments(spec, segs)
+        if best is None or payoff > best_payoff + TIE_MARGIN:
+            best, best_payoff = segs, payoff
     assert best is not None
-    return _assemble(spec, best)
+    return _realize_segments(spec, best)
 
 
 def solve_two_action(spec: GameSpec) -> BiPoolingSolution:

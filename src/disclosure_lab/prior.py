@@ -228,6 +228,9 @@ class Prior:
 
     kind is "uniform" or "plinear"; the uniform prior is stored as the
     constant-density special case so every moment shares one code path.
+    Each piece's slope and the cumulative moments at the knots are
+    computed once, on first use, so a point primitive is one bisection
+    for its piece and a few flops.
     """
 
     kind: str
@@ -264,11 +267,10 @@ class Prior:
         cf = [0.0]
         cm = [0.0]
         ct = [0.0]
-        for a, b, da, db in zip(
-            self.knots, self.knots[1:], self.density, self.density[1:]
+        for a, b, da, db, slope in zip(
+            self.knots, self.knots[1:], self.density, self.density[1:], self._slopes
         ):
             length = b - a
-            slope = (db - da) / length
             cf.append(cf[-1] + length * (da + db) / 2.0)
             cm.append(
                 cm[-1]
@@ -283,57 +285,58 @@ class Prior:
             )
         return tuple(cf), tuple(cm), tuple(ct)
 
-    def _piece(self, x: float) -> int:
-        i = bisect_right(self.knots, x) - 1
-        return min(max(i, 0), len(self.knots) - 2)
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        """Slope of the density on each piece."""
+        k, d = self.knots, self.density
+        return tuple((d[i + 1] - d[i]) / (k[i + 1] - k[i]) for i in range(len(k) - 1))
 
+    # Each point primitive finds its piece by one bisection over the left
+    # knots, so x = 1 lands on the last piece. cdf and first_moment are
+    # the inner loop of every mean equation, so they clip only a point
+    # outside [0, 1].
     def pdf(self, x: float) -> float:
         x = _clip01(x)
-        i = self._piece(x)
-        a, b = self.knots[i], self.knots[i + 1]
+        knots = self.knots
+        i = bisect_right(knots, x, 0, len(knots) - 1) - 1
+        a, b = knots[i], knots[i + 1]
         return self.density[i] + (self.density[i + 1] - self.density[i]) * (
             (x - a) / (b - a)
         )
 
-    # cdf and first_moment are the inner loop of every mean equation, so
-    # they find their piece inline rather than through _clip01 and _piece.
     def cdf(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
             x = _clip01(x)
-        knots, dens = self.knots, self.density
-        i = min(bisect_right(knots, x), len(knots) - 1) - 1
-        a = knots[i]
-        s = x - a
-        slope = (dens[i + 1] - dens[i]) / (knots[i + 1] - a)
-        return self._cums[0][i] + dens[i] * s + slope * s * s / 2.0
+        knots = self.knots
+        i = bisect_right(knots, x, 0, len(knots) - 1) - 1
+        s = x - knots[i]
+        return self._cums[0][i] + self.density[i] * s + self._slopes[i] * s * s / 2.0
 
     def first_moment(self, x: float) -> float:
         """Integral of t * f(t) from 0 to x."""
         if not 0.0 <= x <= 1.0:
             x = _clip01(x)
-        knots, dens = self.knots, self.density
-        i = min(bisect_right(knots, x), len(knots) - 1) - 1
+        knots = self.knots
+        i = bisect_right(knots, x, 0, len(knots) - 1) - 1
         a = knots[i]
         s = x - a
-        slope = (dens[i + 1] - dens[i]) / (knots[i + 1] - a)
         return (
             self._cums[1][i]
-            + dens[i] * (a * s + s * s / 2.0)
-            + slope * (a * s * s / 2.0 + s**3 / 3.0)
+            + self.density[i] * (a * s + s * s / 2.0)
+            + self._slopes[i] * (a * s * s / 2.0 + s**3 / 3.0)
         )
 
     def integrated_cdf(self, x: float) -> float:
         """Integral of the cdf from 0 to x; convex and increasing."""
         x = _clip01(x)
-        i = self._piece(x)
-        a, b = self.knots[i], self.knots[i + 1]
-        s = x - a
-        slope = (self.density[i + 1] - self.density[i]) / (b - a)
+        knots = self.knots
+        i = bisect_right(knots, x, 0, len(knots) - 1) - 1
+        s = x - knots[i]
         return (
             self._cums[2][i]
             + self._cums[0][i] * s
             + self.density[i] * s * s / 2.0
-            + slope * s**3 / 6.0
+            + self._slopes[i] * s**3 / 6.0
         )
 
     def quantile(self, s: float) -> float:
@@ -351,8 +354,7 @@ class Prior:
             return a
         if s >= cf[i + 1]:
             return b
-        d = self.density[i]
-        slope = (self.density[i + 1] - d) / (b - a)
+        d, slope = self.density[i], self._slopes[i]
         # root of d t + slope t^2 / 2 = r, in the form that does not cancel
         t = 2.0 * r / (d + (max(d * d + 2.0 * slope * r, 0.0)) ** 0.5)
         return min(a + t, b)

@@ -35,7 +35,7 @@ from disclosure_lab import (
 from disclosure_lab import cli, design, equilibrium, representation
 from disclosure_lab import prior as prior_module
 from disclosure_lab.design import _DualSimplex, _solve_cells
-from disclosure_lab.prior import LP_TOL, TIE_MARGIN, find_root, solve_h
+from disclosure_lab.prior import LP_TOL, MPC_TOL, TIE_MARGIN, find_root, solve_h
 
 from conftest import (
     SLIVER_WINDOW_GAMES,
@@ -397,7 +397,7 @@ def _best_realized(spec):
 
 
 def test_small_game_solver_assembles_only_the_winner(monkeypatch):
-    """Pricing every candidate and assembling the best gives the same
+    """Pricing every candidate and realizing the best gives the same
     solution as realizing every candidate, and builds one
     BiPoolingSolution per solve."""
     rng = np.random.default_rng(31)
@@ -425,6 +425,140 @@ def test_small_game_solver_assembles_only_the_winner(monkeypatch):
         assert len(built) == 1
     # the reference realizes 2.5 candidates per solve on these games
     assert realized > 2 * len(specs)
+
+
+def test_priced_payoff_is_the_realized_payoff(monkeypatch):
+    """Every small-game candidate priced on the prior's cdf and first
+    moment pays what its realization pays, to 1e-13, on 2-action games
+    and seeded three-action games of all three families. Pricing builds
+    no IntervalUnion, splits no bi-pool and reaches find_root only
+    through the trim's solve_h."""
+    rng = np.random.default_rng(43)
+    specs = [
+        GameSpec(prior, (0.0, float(rng.uniform(0.05, 0.95)), 1.0), (0.0, 1.0))
+        for prior in [uniform_prior()] * 10 + [random_gapped_prior(rng) for _ in range(30)]
+    ]
+    for draw in (random_three_action, random_gapped_game, random_plinear_game):
+        specs += [draw(rng) for _ in range(60)]
+
+    pricing, in_solve_h, stray = [False], [0], []
+    post_init = IntervalUnion.__post_init__
+
+    def counting_post_init(self):
+        if pricing[0]:
+            stray.append(("IntervalUnion", self.pieces))
+        post_init(self)
+
+    def counting_solve_h(*args):
+        in_solve_h[0] += 1
+        try:
+            return solve_h(*args)
+        finally:
+            in_solve_h[0] -= 1
+
+    def counting_find_root(f, a, b):
+        if pricing[0] and not in_solve_h[0]:
+            stray.append(("find_root", a, b))
+        return find_root(f, a, b)
+
+    def no_split(*args):
+        if pricing[0]:
+            stray.append(("nested_interval_rep",))
+        return representation.nested_interval_rep(*args)
+
+    monkeypatch.setattr(IntervalUnion, "__post_init__", counting_post_init)
+    monkeypatch.setattr(design, "solve_h", counting_solve_h)
+    monkeypatch.setattr(design, "nested_interval_rep", no_split)
+    for module in (prior_module, design, representation):
+        monkeypatch.setattr(module, "find_root", counting_find_root)
+
+    # hand-built structures that reach the rules few candidates do: a trim
+    # that reveals a sliver and one that leaves nothing to pool, regions
+    # past the support end, a bi-pool split and one with equal targets
+    seg = design.Segment
+    gk = GameSpec(uniform_prior(), (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0), (0.0, 1.0, 3.0))
+    tail = GameSpec(
+        plinear_prior((0.0, 0.5, 0.6, 1.0), (1, 1, 0, 0)), (0.0, 0.4, 1.0), (0.0, 1.0)
+    )
+    four = GameSpec(uniform_prior(), (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0, 2.0, 4.0))
+    hand_built = [
+        (gk, [seg(interval(0.0, 0.3), "revealed", ()),
+              seg(interval(0.3, 0.8), "pooling", (2.0 / 3.0,)),
+              seg(interval(0.8, 1.0), "revealed", ())]),
+        (four, [seg(interval(0.0, 0.4999924), "revealed", ()),
+                seg(interval(0.4999924, 0.5), "pooling", (0.5,)),
+                seg(interval(0.5, 1.0), "revealed", ())]),
+        (tail, [seg(interval(0.0, 0.3), "revealed", ()),
+                seg(interval(0.3, 1.0), "pooling", (0.45,))]),
+        (tail, [seg(interval(0.0, 0.2), "pooling", (0.1,)),
+                seg(interval(0.2, 1.0), "revealed", ())]),
+        (gk, [seg(interval(0.0, 0.2), "revealed", ()),
+              seg(interval(0.2, 1.0), "bipooling", (1.0 / 3.0, 2.0 / 3.0))]),
+        (gk, [seg(interval(0.0, 1.0), "bipooling", (0.5, 0.5))]),
+    ]
+    kinds, worst = set(), 0.0
+    for spec, segs in hand_built:
+        pricing[0] = True
+        try:
+            priced = design._price_segments(spec, segs)
+        finally:
+            pricing[0] = False
+        worst = max(worst, abs(priced - design._realize_segments(spec, segs).payoff))
+    for spec in specs:
+        for name, segs in design._small_game_candidates(spec):
+            pricing[0] = True
+            try:
+                priced = design._price_segments(spec, segs)
+            finally:
+                pricing[0] = False
+            try:
+                realized = design._realize_segments(spec, segs).payoff
+            except SolverError:  # a losing candidate whose split fails
+                continue
+            kinds.add(name)
+            worst = max(worst, abs(priced - realized))
+    assert worst <= 1e-13
+    assert stray == []
+    assert kinds == {"full-pool", "top-pool", "two-pools", "skip-top", "nested"}
+
+    spec = GameSpec(uniform_prior(), (0.0, 0.3, 0.6, 1.0), (0.0, 1.0, 2.0))
+    split = IntervalUnion.of((0.0, 0.2), (0.5, 1.0))
+    for kind, means in (("pooling", (0.6,)), ("bipooling", (0.3, 0.6))):
+        with pytest.raises(SpecError, match="not one interval"):
+            design._price_segments(spec, [design.Segment(split, kind, means)])
+
+
+# Games on which a losing nested candidate's split fails, which made the
+# whole solve raise before candidates were priced without it: ROADMAP
+# item 7's six-knot game, and two near-tail games, density (1, 0, 0) on
+# knots (0, k, 1) with the top cutoff just below k.
+LOSING_SPLIT_FAILS = [
+    ((0.0, 0.0874750885347554, 0.1508297010290126, 0.44795658052564113,
+      0.9004299338156445, 1.0),
+     (4.693389416646634, 10.420874840544451, 0.0, 0.0, 0.0, 0.17744196893432046),
+     (0.0, 0.1049949123472867, 0.199543385713305, 1.0),
+     (0.0, 1.0, 2.523719759450433)),
+    ((0.0, 0.6406150249411314, 1.0), (1.0, 0.0, 0.0),
+     (0.0, 0.21935701259227017, 0.6406141795693702, 1.0), (0.0, 1.0, 3.0)),
+    ((0.0, 0.7912286680933565, 1.0), (1.0, 0.0, 0.0),
+     (0.0, 0.7011627732547658, 0.7912234366529989, 1.0), (0.0, 1.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("knots, density, cutoffs, values", LOSING_SPLIT_FAILS)
+def test_a_losing_candidates_failed_split_does_not_stop_the_solve(
+    knots, density, cutoffs, values
+):
+    """The solve, implementability and the preferred equilibrium all
+    return a feasible design. Its payoff is no more than 1e-9 below the
+    cell solver's, which may itself fall short of the optimum."""
+    spec = GameSpec(plinear_prior(knots, density), cutoffs, values)
+    sol = commitment_solution(spec)
+    assert sol.distribution.validate(spec.prior) == []
+    assert dominance_gap(spec.prior, sol.distribution) <= MPC_TOL
+    assert sol.payoff >= _solve_cells(spec).payoff - 1e-9
+    assert implementable(spec).commitment_payoff == sol.payoff
+    preferred_ore(spec)
 
 
 def test_no_root_finder_residual_builds_an_interval_union(
