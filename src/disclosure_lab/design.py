@@ -6,12 +6,12 @@ contractions of the prior. Optimal solutions partition the state space
 into segments that are either revealed or pooled, where a pooled
 segment carries one posterior mean and a bi-pooled segment carries
 two. For two and three actions this module enumerates the candidate
-structures in closed form, prices each on the prior's cdf and first
+structures in closed form, places each on the prior's cdf and first
 moment, with no interval union built and no bi-pool split, and builds
-the cells of the best one only. For larger games it solves for one
-atom per action cell under the prior's Lorenz-curve constraints, and
-reads the segments off the binding ones, with a small dense simplex of
-its own.
+the cells of the best one only, from the same placement. For larger
+games it solves for one atom per action cell under the prior's
+Lorenz-curve constraints, and reads the segments off the binding ones,
+with a small dense simplex of its own.
 A grid LP (``lp_value``) stays as the oracle the exact solvers are
 checked against.
 
@@ -49,6 +49,7 @@ from .prior import (
     SpecError,
     find_root,
     interval,
+    merge_pieces,
     solve_h,
 )
 from .representation import DeterministicRepresentation, nested_interval_rep
@@ -90,127 +91,33 @@ class BiPoolingSolution:
         return self.distribution.payoff
 
 
-def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
-    """Turn a segment structure into exact cells and atoms, priced out.
+def _place(spec: GameSpec, segments: list[Segment]) -> tuple[float, list, list]:
+    """Place a segment structure on the prior, on floats alone.
 
-    Every output is recomputed from the prior itself, so the returned
-    distribution is a mean-preserving contraction regardless of how
-    approximate the incoming segment annotations were. A pooled segment
-    whose recomputed mean falls on the wrong side of the cutoff its
-    annotated mean sits on is trimmed: the left sliver is revealed and
-    the rest pooled to exactly that cutoff, or all of it revealed when
-    no mass is left to pool there. Regions stop where the prior's mass
-    does, so no cell reaches through an empty tail past a cutoff its
-    states never cross. A bi-pooled segment is split by
-    ``nested_interval_rep``.
+    Returns the payoff, the revealed pieces of each action's cell, and
+    the placed segments as (kind, lo, hi, means) records. Regions stop
+    at the support end, where the prior's mass does, so no cell reaches
+    through an empty tail past a cutoff its states never cross, and a
+    region of NEGLIGIBLE mass is dropped. A pooled segment's mean is
+    recomputed from the prior. When it falls below the cutoff of the
+    action its annotated mean induces, the segment is trimmed: the left
+    sliver is revealed and the rest pooled to exactly that cutoff, as
+    two records, or all of it revealed when no mass is left to pool
+    there. A bi-pool's two masses come from the barycenter identity
+    mass(inner) = mass(outer) (z_hi - m) / (z_hi - z_lo), with
+    ``nested_interval_rep``'s early returns, so no split is searched for
+    and a split that would fail is placed all the same: only the
+    structure that wins can raise. The revealed pieces are merged as
+    IntervalUnion merges them, then cut at the cutoffs.
 
-    One pass assigns each pooled part to its atom's action and each
-    revealed region to the revealed set. The revealed union, each cell
-    and the payoff are then built once, at the end. ``_price_segments``
-    gives the same payoff without building any of them.
-    """
-    prior = spec.prior
-    support = interval(0.0, prior.support_end)
-    pooled: list[list[tuple[float, float]]] = [[] for _ in spec.values]
-    shown: list[tuple[float, float]] = []
-    atoms: list[tuple[float, float]] = []
-    out_segments: list[Segment] = []
-
-    def reveal(region: IntervalUnion) -> None:
-        if prior.mass(region) > NEGLIGIBLE:
-            shown.extend(region.pieces)
-            out_segments.append(Segment(region, "revealed", ()))
-
-    def pool(region: IntervalUnion, loc: float, mass: float) -> None:
-        atoms.append((loc, mass))
-        pooled[action_at(spec, loc)].extend(region.pieces)
-
-    for seg in sorted(segments, key=lambda s: s.outer.lo):
-        region = seg.outer.intersect(support)
-        if prior.mass(region) <= NEGLIGIBLE:
-            continue
-        if seg.kind == "revealed":
-            reveal(region)
-        elif seg.kind == "pooling":
-            target = seg.means[0]
-            want = action_at(spec, target)
-            loc = _snap_loc(spec, prior.partial_mean(region), target)
-            if action_at(spec, loc) < want:
-                # recomputed mean slipped below the annotated cutoff; pin
-                # the pool to the cutoff and reveal the leftover sliver.
-                # The region is one interval with mean below cut, so the
-                # upper window with mean cut starts inside it.
-                # When that window is empty, the whole sliver is revealed.
-                # Where the window's mean falls short by rounding, its
-                # start lands below lo and is clamped there.
-                cut = spec.cutoffs[want]
-                lo, hi = region.lo, region.hi
-                x = max(solve_h(prior, cut, hi), lo)
-                if prior.mass(interval(x, hi)) <= NEGLIGIBLE:
-                    reveal(region)
-                    continue
-                reveal(interval(lo, x))
-                region = interval(x, hi)
-                loc = _snap_loc(spec, prior.partial_mean(region), cut)
-            pool(region, loc, prior.mass(region))
-            out_segments.append(Segment(region, "pooling", (loc,)))
-        elif seg.kind == "bipooling":
-            z_lo, z_hi = seg.means
-            parts = nested_interval_rep(prior, region, z_lo, z_hi)
-            for part, loc in zip(parts, (z_lo, z_hi)):
-                mass = prior.mass(part)
-                if mass > NEGLIGIBLE:
-                    pool(part, loc, mass)
-            out_segments.append(Segment(region, "bipooling", (z_lo, z_hi)))
-        else:
-            raise SpecError(f"unknown segment kind {seg.kind!r}")
-
-    revealed = IntervalUnion(tuple(shown))
-    atoms.sort()
-    payoff = sum(p * value_at(spec, x) for x, p in atoms)
-    cells = []
-    for i, v in enumerate(spec.values):
-        seen = revealed.intersect(spec.cell(i))
-        payoff += v * prior.mass(seen)
-        cell = IntervalUnion((*pooled[i], *seen.pieces))
-        if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
-            cell = interval(spec.cutoffs[i], spec.cutoffs[i])
-        cells.append(cell)
-
-    cutoff_atoms = [
-        x
-        for x, _ in atoms
-        if any(abs(x - c) <= SNAP_TOL for c in spec.cutoffs[1:-1])
-    ]
-    threshold = min(cutoff_atoms) if cutoff_atoms and len(cutoff_atoms) < len(atoms) else None
-
-    dist = MeanDistribution(
-        tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
-    )
-    return BiPoolingSolution(
-        dist, tuple(out_segments), DeterministicRepresentation(tuple(cells))
-    )
-
-
-def _price_segments(spec: GameSpec, segments: list[Segment]) -> float:
-    """The payoff ``_realize_segments`` gives a segment structure, read
-    off the prior's cdf and first moment at each segment's window ends.
-
-    It keeps every rule of the realization: the clip to the support end,
-    the NEGLIGIBLE skips, the snap of each pooled mean and the trim of a
-    pool whose mean slips below its cutoff. A bi-pool's two masses come
-    from the barycenter identity mass(inner) = mass(outer) (z_hi - m) /
-    (z_hi - z_lo), with ``nested_interval_rep``'s early returns, so no
-    split is searched for and a split that would fail is priced all the
-    same: only the structure that wins can raise. It builds no
-    IntervalUnion, and calls ``find_root`` only through the trim's
-    ``solve_h``. Every segment's outer must be one interval.
+    It builds no IntervalUnion, and calls ``find_root`` only through the
+    trim's ``solve_h``. Every segment's outer must be one interval.
     """
     prior = spec.prior
     F, M = prior.cdf, prior.first_moment
     end = prior.support_end
-    shown: list[tuple[float, float]] = []
     atoms: list[tuple[float, float]] = []
+    placed: list[tuple] = []
 
     for seg in sorted(segments, key=lambda s: s.outer.lo):
         if len(seg.outer.pieces) != 1:
@@ -221,22 +128,28 @@ def _price_segments(spec: GameSpec, segments: list[Segment]) -> float:
         if mass <= NEGLIGIBLE:
             continue
         if seg.kind == "revealed":
-            shown.append((lo, hi))
+            placed.append(("revealed", lo, hi, ()))
         elif seg.kind == "pooling":
             target = seg.means[0]
             want = action_at(spec, target)
             loc = _snap_loc(spec, (M(hi) - M(lo)) / mass, target)
-            if action_at(spec, loc) < want:  # the trim
+            if action_at(spec, loc) < want:
+                # The region is one interval with mean below cut, so the
+                # upper window with mean cut starts inside it. Where the
+                # window's mean falls short by rounding, its start lands
+                # below lo and is clamped there.
                 cut = spec.cutoffs[want]
                 x = max(solve_h(prior, cut, hi), lo)
                 mass = F(hi) - F(x)
                 if mass <= NEGLIGIBLE:
-                    shown.append((lo, hi))
+                    placed.append(("revealed", lo, hi, ()))
                     continue
                 if F(x) - F(lo) > NEGLIGIBLE:
-                    shown.append((lo, x))
+                    placed.append(("revealed", lo, x, ()))
                 loc = _snap_loc(spec, (M(hi) - M(x)) / mass, cut)
+                lo = x
             atoms.append((loc, mass))
+            placed.append(("pooling", lo, hi, (loc,)))
         elif seg.kind == "bipooling":
             z_lo, z_hi = seg.means
             inner = mass
@@ -250,24 +163,70 @@ def _price_segments(spec: GameSpec, segments: list[Segment]) -> float:
             for loc, part in ((z_lo, inner), (z_hi, mass - inner)):
                 if part > NEGLIGIBLE:
                     atoms.append((loc, part))
+            placed.append(("bipooling", lo, hi, (z_lo, z_hi)))
         else:
             raise SpecError(f"unknown segment kind {seg.kind!r}")
 
-    # the revealed pieces merged as IntervalUnion merges them, so each
-    # cell's revealed mass sums the same cdf differences as in the realization
-    merged: list[list[float]] = []
-    for lo, hi in sorted(shown):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    merged = merge_pieces((lo, hi) for kind, lo, hi, _ in placed if kind == "revealed")
     atoms.sort()
     payoff = sum(p * value_at(spec, x) for x, p in atoms)
+    seen = []
     for v, c, d in zip(spec.values, spec.cutoffs, spec.cutoffs[1:]):
-        payoff += v * sum(
-            F(min(b, d)) - F(max(a, c)) for a, b in merged if max(a, c) <= min(b, d)
-        )
-    return payoff
+        cell = [(max(a, c), min(b, d)) for a, b in merged if max(a, c) <= min(b, d)]
+        payoff += v * sum(F(b) - F(a) for a, b in cell)
+        seen.append(cell)
+    return payoff, seen, placed
+
+
+def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
+    """Build the design ``_place`` places: its cells, atoms and segments.
+
+    Every output is recomputed from the prior itself, so the returned
+    distribution is a mean-preserving contraction regardless of how
+    approximate the incoming segment annotations were. ``_place``
+    applies every placement rule; this adds only what a built design
+    needs: each bi-pool split by ``nested_interval_rep``, whose parts
+    give its two atoms their masses, the revealed union, each cell
+    built once from its pieces, and the pool threshold. The payoff is
+    ``_place``'s, the one the small-game solver ranks candidates by.
+    """
+    prior = spec.prior
+    payoff, seen, placed = _place(spec, segments)
+    pooled: list[list[tuple[float, float]]] = [[] for _ in spec.values]
+    atoms: list[tuple[float, float]] = []
+    out = tuple(Segment(interval(lo, hi), kind, means) for kind, lo, hi, means in placed)
+    for seg in out:
+        parts = (seg.outer,)
+        if seg.kind == "bipooling":
+            parts = nested_interval_rep(prior, seg.outer, *seg.means)
+        # a revealed segment has no means and so no atom; a split part
+        # is kept on its own mass, not on _place's barycenter mass
+        for part, loc in zip(parts, seg.means):
+            mass = prior.mass(part)
+            if mass > NEGLIGIBLE:
+                atoms.append((loc, mass))
+                pooled[action_at(spec, loc)].extend(part.pieces)
+
+    atoms.sort()
+    cells = []
+    for i, pieces in enumerate(seen):
+        cell = IntervalUnion((*pooled[i], *pieces))
+        if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
+            cell = interval(spec.cutoffs[i], spec.cutoffs[i])
+        cells.append(cell)
+
+    cutoff_atoms = [
+        x
+        for x, _ in atoms
+        if any(abs(x - c) <= SNAP_TOL for c in spec.cutoffs[1:-1])
+    ]
+    threshold = min(cutoff_atoms) if cutoff_atoms and len(cutoff_atoms) < len(atoms) else None
+
+    revealed = IntervalUnion(tuple(p for pieces in seen for p in pieces))
+    dist = MeanDistribution(
+        tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
+    )
+    return BiPoolingSolution(dist, out, DeterministicRepresentation(tuple(cells)))
 
 
 def _top_pool(prior: Prior, g: float) -> tuple[float, list[Segment]]:
@@ -420,14 +379,14 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
 
 
 def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
-    """Exact commitment optimum for two or three actions. Every candidate
-    segment structure is priced by ``_price_segments``; only the best,
-    with ties resolved toward the earlier candidate, is realized."""
+    """Exact commitment optimum for two or three actions. Each candidate
+    is placed by ``_place``, and only the best, ties resolved toward the
+    earlier one, is realized, at the payoff it was ranked by."""
     if spec.n_actions != n_actions:
         raise SpecError(f"this solver needs exactly {n_actions} actions")
     best: Optional[list[Segment]] = None
     for _, segs in _small_game_candidates(spec):
-        payoff = _price_segments(spec, segs)
+        payoff = _place(spec, segs)[0]
         if best is None or payoff > best_payoff + TIE_MARGIN:
             best, best_payoff = segs, payoff
     assert best is not None
@@ -595,7 +554,7 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
 
     Each binding k splits [0, 1] at F^-1(P_k); between splits sit one
     atom (a pool) or two (a bi-pool, Arieli et al. 2023), and
-    ``_realize_segments`` recomputes both exactly from the prior.
+    ``_realize_segments`` places both anew on the prior.
     """
     prior = spec.prior
     n, g = spec.n_actions, spec.cutoffs

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Numeric thresholds of the package, each named once. Every module takes
 # its thresholds from this table; tests/test_tolerances.py fails on a
@@ -103,6 +103,17 @@ def _clip01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def merge_pieces(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """The pieces sorted, with touching or overlapping ones merged."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted(pieces):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((a, b) for a, b in merged)
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Finite union of closed intervals inside [0, 1].
@@ -123,14 +134,7 @@ class IntervalUnion:
             if hi < lo:
                 raise SpecError(f"interval [{lo}, {hi}] is reversed")
             cleaned.append((lo, hi))
-        cleaned.sort()
-        merged: list[list[float]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        object.__setattr__(self, "pieces", tuple((a, b) for a, b in merged))
+        object.__setattr__(self, "pieces", merge_pieces(cleaned))
 
     @classmethod
     def of(cls, *pairs: tuple[float, float]) -> "IntervalUnion":

@@ -25,6 +25,7 @@ from disclosure_lab import (
     ore_at_payoff,
     plinear_prior,
     preferred_ore,
+    representation_payoff,
     seller_to_game,
     solve_three_action,
     solve_two_action,
@@ -396,10 +397,22 @@ def _best_realized(spec):
     return best
 
 
+def _best_placed(spec):
+    """The best candidate payoff ``_place`` gives, ties resolved toward
+    the earlier candidate."""
+    best = None
+    for _, segs in design._small_game_candidates(spec):
+        payoff = design._place(spec, segs)[0]
+        if best is None or payoff > best + TIE_MARGIN:
+            best = payoff
+    return best
+
+
 def test_small_game_solver_assembles_only_the_winner(monkeypatch):
-    """Pricing every candidate and realizing the best gives the same
-    solution as realizing every candidate, and builds one
-    BiPoolingSolution per solve."""
+    """Placing every candidate and realizing the best gives the same
+    solution as realizing every candidate, builds one BiPoolingSolution
+    per solve, and reports, bit for bit, the payoff the winner was
+    ranked by."""
     rng = np.random.default_rng(31)
     specs = [
         GameSpec(prior, (0.0, float(rng.uniform(0.05, 0.95)), 1.0), (0.0, 1.0))
@@ -421,18 +434,21 @@ def test_small_game_solver_assembles_only_the_winner(monkeypatch):
         want = repr(_best_realized(spec))
         realized += len(built)
         built.clear()
-        assert repr(commitment_solution(spec)) == want
+        sol = commitment_solution(spec)
+        assert repr(sol) == want
         assert len(built) == 1
+        assert sol.payoff == _best_placed(spec)
     # the reference realizes 2.5 candidates per solve on these games
     assert realized > 2 * len(specs)
 
 
-def test_priced_payoff_is_the_realized_payoff(monkeypatch):
-    """Every small-game candidate priced on the prior's cdf and first
-    moment pays what its realization pays, to 1e-13, on 2-action games
-    and seeded three-action games of all three families. Pricing builds
-    no IntervalUnion, splits no bi-pool and reaches find_root only
-    through the trim's solve_h."""
+def test_placed_payoff_is_the_designs_payoff(monkeypatch):
+    """Every small-game candidate placed on the prior's cdf and first
+    moment pays, to 1e-13, what its realized design pays, read off the
+    atoms and revealed union and off the cells, on 2-action games and
+    seeded three-action games of all three families. Placing builds no
+    IntervalUnion, splits no bi-pool and reaches find_root only through
+    the trim's solve_h. A multi-piece outer is refused."""
     rng = np.random.default_rng(43)
     specs = [
         GameSpec(prior, (0.0, float(rng.uniform(0.05, 0.95)), 1.0), (0.0, 1.0))
@@ -441,11 +457,11 @@ def test_priced_payoff_is_the_realized_payoff(monkeypatch):
     for draw in (random_three_action, random_gapped_game, random_plinear_game):
         specs += [draw(rng) for _ in range(60)]
 
-    pricing, in_solve_h, stray = [False], [0], []
+    placing, in_solve_h, stray = [False], [0], []
     post_init = IntervalUnion.__post_init__
 
     def counting_post_init(self):
-        if pricing[0]:
+        if placing[0]:
             stray.append(("IntervalUnion", self.pieces))
         post_init(self)
 
@@ -457,12 +473,12 @@ def test_priced_payoff_is_the_realized_payoff(monkeypatch):
             in_solve_h[0] -= 1
 
     def counting_find_root(f, a, b):
-        if pricing[0] and not in_solve_h[0]:
+        if placing[0] and not in_solve_h[0]:
             stray.append(("find_root", a, b))
         return find_root(f, a, b)
 
     def no_split(*args):
-        if pricing[0]:
+        if placing[0]:
             stray.append(("nested_interval_rep",))
         return representation.nested_interval_rep(*args)
 
@@ -496,36 +512,45 @@ def test_priced_payoff_is_the_realized_payoff(monkeypatch):
               seg(interval(0.2, 1.0), "bipooling", (1.0 / 3.0, 2.0 / 3.0))]),
         (gk, [seg(interval(0.0, 1.0), "bipooling", (0.5, 0.5))]),
     ]
-    kinds, worst = set(), 0.0
-    for spec, segs in hand_built:
-        pricing[0] = True
+
+    def gap(spec, segs):
+        """How far the placed payoff lies from the built design's two, or
+        None when the design cannot be built."""
+        placing[0] = True
         try:
-            priced = design._price_segments(spec, segs)
+            placed = design._place(spec, segs)[0]
         finally:
-            pricing[0] = False
-        worst = max(worst, abs(priced - design._realize_segments(spec, segs).payoff))
+            placing[0] = False
+        try:
+            sol = design._realize_segments(spec, segs)
+        except SolverError:  # a losing candidate whose split fails
+            return None
+        assert sol.payoff == placed
+        return max(
+            abs(placed - sol.distribution.expected_value(spec)),
+            abs(placed - representation_payoff(spec, sol.canonical)),
+        )
+
+    kinds = set()
+    worst = max(gap(spec, segs) for spec, segs in hand_built)
     for spec in specs:
         for name, segs in design._small_game_candidates(spec):
-            pricing[0] = True
-            try:
-                priced = design._price_segments(spec, segs)
-            finally:
-                pricing[0] = False
-            try:
-                realized = design._realize_segments(spec, segs).payoff
-            except SolverError:  # a losing candidate whose split fails
-                continue
-            kinds.add(name)
-            worst = max(worst, abs(priced - realized))
+            found = gap(spec, segs)
+            if found is not None:
+                kinds.add(name)
+                worst = max(worst, found)
     assert worst <= 1e-13
     assert stray == []
     assert kinds == {"full-pool", "top-pool", "two-pools", "skip-top", "nested"}
 
     spec = GameSpec(uniform_prior(), (0.0, 0.3, 0.6, 1.0), (0.0, 1.0, 2.0))
     split = IntervalUnion.of((0.0, 0.2), (0.5, 1.0))
-    for kind, means in (("pooling", (0.6,)), ("bipooling", (0.3, 0.6))):
-        with pytest.raises(SpecError, match="not one interval"):
-            design._price_segments(spec, [design.Segment(split, kind, means)])
+    for place in (design._place, design._realize_segments):
+        for kind, means in (
+            ("revealed", ()), ("pooling", (0.6,)), ("bipooling", (0.3, 0.6))
+        ):
+            with pytest.raises(SpecError, match="not one interval"):
+                place(spec, [design.Segment(split, kind, means)])
 
 
 # Games on which a losing nested candidate's split fails, which made the
