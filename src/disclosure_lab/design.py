@@ -178,8 +178,11 @@ def _place(spec: GameSpec, segments: list[Segment]) -> tuple[float, list, list]:
     return payoff, seen, placed
 
 
-def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolution:
-    """Build the design ``_place`` places: its cells, atoms and segments.
+def _realize_segments(
+    spec: GameSpec, placement: tuple[float, list, list]
+) -> BiPoolingSolution:
+    """Build the design of a ``_place`` result: its cells, atoms and
+    segments.
 
     Every output is recomputed from the prior itself, so the returned
     distribution is a mean-preserving contraction regardless of how
@@ -191,7 +194,7 @@ def _realize_segments(spec: GameSpec, segments: list[Segment]) -> BiPoolingSolut
     ``_place``'s, the one the small-game solver ranks candidates by.
     """
     prior = spec.prior
-    payoff, seen, placed = _place(spec, segments)
+    payoff, seen, placed = placement
     pooled: list[list[tuple[float, float]]] = [[] for _ in spec.values]
     atoms: list[tuple[float, float]] = []
     out = tuple(Segment(interval(lo, hi), kind, means) for kind, lo, hi, means in placed)
@@ -295,16 +298,18 @@ def _nested_y(spec: GameSpec, b: float) -> tuple[float, float] | str:
     if prior.window_mean(0.0, b, b) > g1 + MEAN_GUARD:
         return "mean of [0, b] above g1"
     h = solve_h(prior, g1, b)
-    F, M = prior.cdf, prior.first_moment
-    Fh, Mh = F(h), M(h)
+    FM = prior._cdf_moment
+    Fh, Mh = FM(h)
     # the top cell [y, h] + [b, 1] loses mass as y grows, down to that of
     # [b, 1] at y = h, so its guard bounds every denominator of y_res
-    top_f, top_m = F(1.0) - F(b), M(1.0) - M(b)
+    (F1, M1), (Fb, Mb) = FM(1.0), FM(b)
+    top_f, top_m = F1 - Fb, M1 - Mb
     if top_f <= MEAN_GUARD:
         return "no mass in [b, 1]"
 
     def y_res(y: float) -> float:
-        return ((Mh - M(y)) + top_m) / ((Fh - F(y)) + top_f) - g2
+        Fy, My = FM(y)
+        return ((Mh - My) + top_m) / ((Fh - Fy) + top_f) - g2
 
     r0 = y_res(0.0)
     if r0 > MEAN_GUARD:
@@ -381,14 +386,14 @@ def _best_nested(spec: GameSpec, x_hi: Optional[float]) -> Optional[float]:
 def _solve_small_game(spec: GameSpec, n_actions: int) -> BiPoolingSolution:
     """Exact commitment optimum for two or three actions. Each candidate
     is placed by ``_place``, and only the best, ties resolved toward the
-    earlier one, is realized, at the payoff it was ranked by."""
+    earlier one, is realized from the placement it was ranked by."""
     if spec.n_actions != n_actions:
         raise SpecError(f"this solver needs exactly {n_actions} actions")
-    best: Optional[list[Segment]] = None
+    best: Optional[tuple[float, list, list]] = None
     for _, segs in _small_game_candidates(spec):
-        payoff = _place(spec, segs)[0]
-        if best is None or payoff > best_payoff + TIE_MARGIN:
-            best, best_payoff = segs, payoff
+        placement = _place(spec, segs)
+        if best is None or placement[0] > best[0] + TIE_MARGIN:
+            best = placement
     assert best is not None
     return _realize_segments(spec, best)
 
@@ -624,7 +629,7 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
         if group and split is None and i < n - 1 and slack[i] <= SNAP_TOL:
             split = run_p[i]
     close(1.0)
-    return _realize_segments(spec, segments)
+    return _realize_segments(spec, _place(spec, segments))
 
 
 # ---------------------------------------------------------------------------

@@ -114,27 +114,93 @@ def merge_pieces(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, fl
     return tuple((a, b) for a, b in merged)
 
 
+# Set algebra on normalized piece lists: sorted, inside [0, 1], and each
+# piece strictly to the left of the next. One linear pass each, and the
+# result is normalized again.
+Pieces = tuple[tuple[float, float], ...]
+
+
+def intersect_pieces(xs: Pieces, ys: Pieces) -> Pieces:
+    """The pieces of xs intersected with those of ys. Both lists are
+    strictly apart within themselves, so no two results touch."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = xs[i]
+        c, d = ys[j]
+        lo, hi = max(a, c), min(b, d)
+        if lo <= hi:
+            out.append((lo, hi))
+        if b <= d:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def subtract_pieces(xs: Pieces, ys: Pieces) -> Pieces:
+    """Closure of xs minus ys (see ``IntervalUnion.subtract``). The two
+    pieces left on either side of a removed point are one piece again."""
+    out: list[tuple[float, float]] = []
+
+    def keep(lo: float, hi: float) -> None:
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+
+    j = 0
+    for a, b in xs:
+        while j < len(ys) and ys[j][1] <= a:
+            j += 1
+        cursor, k = a, j
+        while k < len(ys) and ys[k][0] < b and cursor < b:
+            c, d = ys[k]
+            if c > cursor:
+                keep(cursor, c)
+            cursor = max(cursor, d)
+            k += 1
+        # a degenerate piece of xs survives unless ys covers it
+        if cursor < b or (cursor == b and not any(c <= b <= d for c, d in ys)):
+            keep(cursor, b)
+    return tuple(out)
+
+
+def _checked_piece(lo: float, hi: float) -> tuple[float, float]:
+    lo = _clip01(float(lo))
+    hi = _clip01(float(hi))
+    if hi < lo:
+        raise SpecError(f"interval [{lo}, {hi}] is reversed")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Finite union of closed intervals inside [0, 1].
 
     Pieces are kept sorted with disjoint interiors; touching or
-    overlapping pieces are merged on construction. Degenerate pieces
-    [a, a] are allowed and survive normalization unless swallowed by a
-    neighbor.
+    overlapping pieces are merged. Degenerate pieces [a, a] are allowed
+    and survive normalization unless swallowed by a neighbor.
+
+    The public constructor, ``of`` and ``from_pairs`` check every piece
+    (clipped to [0, 1] within INPUT_SLACK, not reversed), then sort and
+    merge. ``interval`` checks its two ends. ``union``, ``intersect``,
+    ``subtract``, ``hull`` and ``empty`` trust their pieces: the set
+    algebra above keeps normalized inputs normalized.
     """
 
-    pieces: tuple[tuple[float, float], ...]
+    pieces: Pieces
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for lo, hi in self.pieces:
-            lo = _clip01(float(lo))
-            hi = _clip01(float(hi))
-            if hi < lo:
-                raise SpecError(f"interval [{lo}, {hi}] is reversed")
-            cleaned.append((lo, hi))
+        cleaned = [_checked_piece(lo, hi) for lo, hi in self.pieces]
         object.__setattr__(self, "pieces", merge_pieces(cleaned))
+
+    @classmethod
+    def _trusted(cls, pieces: Pieces) -> "IntervalUnion":
+        """A union of pieces that are normalized already, unchecked."""
+        union = object.__new__(cls)
+        object.__setattr__(union, "pieces", pieces)
+        return union
 
     @classmethod
     def of(cls, *pairs: tuple[float, float]) -> "IntervalUnion":
@@ -142,7 +208,7 @@ class IntervalUnion:
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls(())
+        return cls._trusted(())
 
     @property
     def is_empty(self) -> bool:
@@ -167,22 +233,16 @@ class IntervalUnion:
     def hull(self) -> "IntervalUnion":
         if self.is_empty:
             return self
-        return IntervalUnion(((self.lo, self.hi),))
+        return IntervalUnion._trusted(((self.lo, self.hi),))
 
     def contains(self, x: float) -> bool:
         return any(a <= x <= b for a, b in self.pieces)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.pieces + other.pieces)
+        return IntervalUnion._trusted(merge_pieces(self.pieces + other.pieces))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a, b in self.pieces:
-            for c, d in other.pieces:
-                lo, hi = max(a, c), min(b, d)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return IntervalUnion(tuple(out))
+        return IntervalUnion._trusted(intersect_pieces(self.pieces, other.pieces))
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
         """Closed remainder of self minus other.
@@ -192,27 +252,7 @@ class IntervalUnion:
         that share endpoints with the removed set. All downstream
         comparisons are up to null sets, which this convention respects.
         """
-        out = []
-        for a, b in self.pieces:
-            cursor = a
-            for c, d in other.pieces:
-                if d <= cursor or c >= b:
-                    continue
-                if c > cursor:
-                    out.append((cursor, c))
-                cursor = max(cursor, d)
-                if cursor >= b:
-                    break
-            if cursor < b or (cursor == b and not other.contains(b)):
-                if cursor <= b:
-                    out.append((cursor, b))
-        # Drop zero-length slivers created purely by closed-endpoint
-        # bookkeeping, except when self itself was degenerate there.
-        keep = []
-        for lo, hi in out:
-            if hi > lo or any(a == b == lo for a, b in self.pieces):
-                keep.append((lo, hi))
-        return IntervalUnion(tuple(keep))
+        return IntervalUnion._trusted(subtract_pieces(self.pieces, other.pieces))
 
     def to_pairs(self) -> list[list[float]]:
         return [[a, b] for a, b in self.pieces]
@@ -223,7 +263,7 @@ class IntervalUnion:
 
 
 def interval(lo: float, hi: float) -> IntervalUnion:
-    return IntervalUnion(((lo, hi),))
+    return IntervalUnion._trusted((_checked_piece(lo, hi),))
 
 
 @dataclass(frozen=True)
@@ -330,6 +370,23 @@ class Prior:
             + self._slopes[i] * (a * s * s / 2.0 + s**3 / 3.0)
         )
 
+    def _cdf_moment(self, x: float) -> tuple[float, float]:
+        """(cdf(x), first_moment(x)) from one bisection, bit for bit."""
+        if not 0.0 <= x <= 1.0:
+            x = _clip01(x)
+        knots = self.knots
+        i = bisect_right(knots, x, 0, len(knots) - 1) - 1
+        a = knots[i]
+        s = x - a
+        d, slope = self.density[i], self._slopes[i]
+        cdf = self._cums[0][i] + d * s + slope * s * s / 2.0
+        moment = (
+            self._cums[1][i]
+            + d * (a * s + s * s / 2.0)
+            + slope * (a * s * s / 2.0 + s**3 / 3.0)
+        )
+        return cdf, moment
+
     def integrated_cdf(self, x: float) -> float:
         """Integral of the cdf from 0 to x; convex and increasing."""
         x = _clip01(x)
@@ -380,11 +437,11 @@ class Prior:
 
     def partial_mean(self, region: IntervalUnion) -> float:
         """Conditional expectation of the state given the region."""
-        m = self.mass(region)
+        ends = [(self._cdf_moment(a), self._cdf_moment(b)) for a, b in region.pieces]
+        m = sum(fb - fa for (fa, _), (fb, _) in ends)
         if m <= NO_MEAN_MASS:
             raise ZeroMassError(f"region {region.pieces!r} carries no prior mass")
-        num = sum(self.first_moment(b) - self.first_moment(a) for a, b in region.pieces)
-        return num / m
+        return sum(mb - ma for (_, ma), (_, mb) in ends) / m
 
     def window_mean(self, a: float, b: float, empty: float) -> float:
         """Conditional expectation of the state on [a, b], or empty when
@@ -395,10 +452,11 @@ class Prior:
         so a residual in it stays continuous and increasing across
         zero-density stretches.
         """
-        m = self.cdf(b) - self.cdf(a)
-        if m <= NO_MEAN_MASS:
+        fa, ma = self._cdf_moment(a)
+        fb, mb = self._cdf_moment(b)
+        if fb - fa <= NO_MEAN_MASS:
             return empty
-        return (self.first_moment(b) - self.first_moment(a)) / m
+        return (mb - ma) / (fb - fa)
 
     def to_obj(self) -> dict:
         if self.kind == "uniform":

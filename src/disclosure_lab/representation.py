@@ -21,11 +21,15 @@ from .prior import (
     NEGLIGIBLE,
     NO_MEAN_MASS,
     IntervalUnion,
+    Pieces,
     Prior,
     SolverError,
     SpecError,
     find_root,
+    intersect_pieces,
     interval,
+    merge_pieces,
+    subtract_pieces,
 )
 
 
@@ -56,20 +60,37 @@ class DeterministicRepresentation:
         return cls(tuple(IntervalUnion.from_pairs(c) for c in obj["cells"]))
 
 
+def _mass(prior: Prior, pieces: Pieces) -> float:
+    """``Prior.mass`` of a piece list, with no union built."""
+    F = prior.cdf
+    return sum(F(b) - F(a) for a, b in pieces)
+
+
+def _length(pieces: Pieces) -> float:
+    return sum(b - a for a, b in pieces)
+
+
+def _covered(cells: tuple[IntervalUnion, ...]) -> Pieces:
+    return merge_pieces(p for cell in cells for p in cell.pieces)
+
+
 def validate_representation(
     spec: GameSpec, rep: DeterministicRepresentation
 ) -> list[str]:
+    """Coverage and overlap problems of the cells, read off their piece
+    lists: uncovered mass, and the mass each pair of cells shares."""
     problems = []
     if rep.n_actions != spec.n_actions:
         problems.append("cell count does not match the action count")
         return problems
-    covered = IntervalUnion(tuple(p for cell in rep.cells for p in cell.pieces))
-    gap = interval(0.0, 1.0).subtract(covered)
-    if spec.prior.mass(gap) > AUDIT_TOL:
-        problems.append(f"cells leave mass {spec.prior.mass(gap):.3e} uncovered")
+    gap = _mass(spec.prior, subtract_pieces(((0.0, 1.0),), _covered(rep.cells)))
+    if gap > AUDIT_TOL:
+        problems.append(f"cells leave mass {gap:.3e} uncovered")
     for i in range(rep.n_actions):
         for j in range(i + 1, rep.n_actions):
-            overlap = spec.prior.mass(rep.cells[i].intersect(rep.cells[j]))
+            overlap = _mass(
+                spec.prior, intersect_pieces(rep.cells[i].pieces, rep.cells[j].pieces)
+            )
             if overlap > AUDIT_TOL:
                 problems.append(
                     f"cells {i} and {j} overlap with mass {overlap:.3e}"
@@ -151,10 +172,9 @@ def is_incentive_compatible(
     the first failing action with the uncovered subinterval.
     """
     for i in range(spec.n_actions):
-        upper = IntervalUnion(tuple(p for cell in rep.cells[i:] for p in cell.pieces))
-        missing = spec.cell(i).subtract(upper)
-        if spec.prior.mass(missing) > AUDIT_TOL:
-            return ICReport(False, i, missing)
+        missing = subtract_pieces(spec.cell(i).pieces, _covered(rep.cells[i:]))
+        if _mass(spec.prior, missing) > AUDIT_TOL:
+            return ICReport(False, i, IntervalUnion(missing))
     return ICReport(True)
 
 
@@ -203,13 +223,15 @@ def nested_interval_rep(
         return IntervalUnion.empty(), outer
 
     F = prior.cdf
+    F_hi = F(hi)
 
     def window_hi(p: float) -> float:
-        if F(hi) - F(p) <= mass_in:
+        F_p = F(p)
+        if F_hi - F_p <= mass_in:
             return hi
-        return find_root(lambda q: F(q) - F(p) - mass_in, p, hi)
+        return find_root(lambda q: F(q) - F_p - mass_in, p, hi)
 
-    p_max = find_root(lambda p: F(hi) - F(p) - mass_in, lo, hi)
+    p_max = find_root(lambda p: F_hi - F(p) - mass_in, lo, hi)
 
     def residual(p: float) -> float:
         return prior.window_mean(p, window_hi(p), p) - z_lo
@@ -279,17 +301,17 @@ def feasible_bipool(
 def is_laminar(rep: DeterministicRepresentation) -> bool:
     """Every cell must equal the closure of its convex hull minus the
     hulls of all lower cells; null and degenerate cells pass vacuously."""
-    hulls: list[Optional[IntervalUnion]] = []
-    for cell in rep.cells:
-        hulls.append(cell.hull() if cell.length > AUDIT_TOL else None)
+    hulls = [((c.lo, c.hi),) if c.length > AUDIT_TOL else None for c in rep.cells]
     for i, cell in enumerate(rep.cells):
-        if hulls[i] is None:
-            continue
         expected = hulls[i]
-        for j in range(i):
-            if hulls[j] is not None:
-                expected = expected.subtract(hulls[j])
-        mismatch = expected.subtract(cell).length + cell.subtract(expected).length
+        if expected is None:
+            continue
+        for lower in hulls[:i]:
+            if lower is not None:
+                expected = subtract_pieces(expected, lower)
+        mismatch = _length(subtract_pieces(expected, cell.pieces)) + _length(
+            subtract_pieces(cell.pieces, expected)
+        )
         if mismatch > AUDIT_TOL:
             return False
     return True
@@ -390,7 +412,7 @@ def check_prop2(spec: GameSpec, rep: DeterministicRepresentation) -> Prop2Report
     prior = spec.prior
 
     def reaches_past(j: int, g: float) -> bool:
-        return prior.mass(rep.cells[j].intersect(interval(g, 1.0))) > AUDIT_TOL
+        return _mass(prior, intersect_pieces(rep.cells[j].pieces, ((g, 1.0),))) > AUDIT_TOL
 
     violations = []
     for i in range(1, spec.n_actions):

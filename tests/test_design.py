@@ -391,7 +391,7 @@ def _best_realized(spec):
     earlier candidate."""
     best = None
     for _, segs in design._small_game_candidates(spec):
-        sol = design._realize_segments(spec, segs)
+        sol = design._realize_segments(spec, design._place(spec, segs))
         if best is None or sol.payoff > best.payoff + TIE_MARGIN:
             best = sol
     return best
@@ -458,12 +458,17 @@ def test_placed_payoff_is_the_designs_payoff(monkeypatch):
         specs += [draw(rng) for _ in range(60)]
 
     placing, in_solve_h, stray = [False], [0], []
-    post_init = IntervalUnion.__post_init__
+    post_init, trusted = IntervalUnion.__post_init__, IntervalUnion._trusted
 
     def counting_post_init(self):
         if placing[0]:
             stray.append(("IntervalUnion", self.pieces))
         post_init(self)
+
+    def counting_trusted(cls, pieces):
+        if placing[0]:
+            stray.append(("IntervalUnion", pieces))
+        return trusted(pieces)
 
     def counting_solve_h(*args):
         in_solve_h[0] += 1
@@ -483,6 +488,7 @@ def test_placed_payoff_is_the_designs_payoff(monkeypatch):
         return representation.nested_interval_rep(*args)
 
     monkeypatch.setattr(IntervalUnion, "__post_init__", counting_post_init)
+    monkeypatch.setattr(IntervalUnion, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr(design, "solve_h", counting_solve_h)
     monkeypatch.setattr(design, "nested_interval_rep", no_split)
     for module in (prior_module, design, representation):
@@ -518,11 +524,12 @@ def test_placed_payoff_is_the_designs_payoff(monkeypatch):
         None when the design cannot be built."""
         placing[0] = True
         try:
-            placed = design._place(spec, segs)[0]
+            placement = design._place(spec, segs)
         finally:
             placing[0] = False
+        placed = placement[0]
         try:
-            sol = design._realize_segments(spec, segs)
+            sol = design._realize_segments(spec, placement)
         except SolverError:  # a losing candidate whose split fails
             return None
         assert sol.payoff == placed
@@ -545,12 +552,11 @@ def test_placed_payoff_is_the_designs_payoff(monkeypatch):
 
     spec = GameSpec(uniform_prior(), (0.0, 0.3, 0.6, 1.0), (0.0, 1.0, 2.0))
     split = IntervalUnion.of((0.0, 0.2), (0.5, 1.0))
-    for place in (design._place, design._realize_segments):
-        for kind, means in (
-            ("revealed", ()), ("pooling", (0.6,)), ("bipooling", (0.3, 0.6))
-        ):
-            with pytest.raises(SpecError, match="not one interval"):
-                place(spec, [design.Segment(split, kind, means)])
+    for kind, means in (
+        ("revealed", ()), ("pooling", (0.6,)), ("bipooling", (0.3, 0.6))
+    ):
+        with pytest.raises(SpecError, match="not one interval"):
+            design._place(spec, [design.Segment(split, kind, means)])
 
 
 # Games on which a losing nested candidate's split fails, which made the
@@ -594,12 +600,17 @@ def test_no_root_finder_residual_builds_an_interval_union(
     an IntervalUnion, whose normalisation would run at every root-finder
     step."""
     depth, built = [0], []
-    post_init = IntervalUnion.__post_init__
+    post_init, trusted = IntervalUnion.__post_init__, IntervalUnion._trusted
 
     def counting_post_init(self):
         if depth[0]:
             built.append(self.pieces)
         post_init(self)
+
+    def counting_trusted(cls, pieces):
+        if depth[0]:
+            built.append(pieces)
+        return trusted(pieces)
 
     def counted(find_root):
         def wrapped(f, a, b, **kwargs):
@@ -615,6 +626,7 @@ def test_no_root_finder_residual_builds_an_interval_union(
         return wrapped
 
     monkeypatch.setattr(IntervalUnion, "__post_init__", counting_post_init)
+    monkeypatch.setattr(IntervalUnion, "_trusted", classmethod(counting_trusted))
     for module in (prior_module, design, equilibrium, representation):
         monkeypatch.setattr(module, "find_root", counted(module.find_root))
     rng = np.random.default_rng(11)
@@ -812,7 +824,7 @@ def test_trim_reveals_a_sliver_with_nothing_left_to_pool():
         design.Segment(interval(0.4999924, 0.5), "pooling", (0.5,)),
         design.Segment(interval(0.5, 1.0), "revealed", ()),
     ]
-    dist = design._realize_segments(spec, segments).distribution
+    dist = design._realize_segments(spec, design._place(spec, segments)).distribution
     assert dist.validate(spec.prior) == []
     assert dominance_gap(spec.prior, dist) <= 1e-8
     assert dist.atoms == ()

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from disclosure_lab import (
     uniform_prior,
 )
 from disclosure_lab import prior as prior_module
-from disclosure_lab.prior import ROOT_RTOL, ROOT_XTOL, find_root
+from disclosure_lab.prior import INPUT_SLACK, ROOT_RTOL, ROOT_XTOL, find_root
 
 from conftest import random_gapped_prior
 
@@ -94,6 +95,60 @@ def test_union_subtract_partition_lengths(a, b):
 @given(unions(), unions(), st.floats(min_value=0.0, max_value=1.0))
 def test_union_membership_is_pointwise_or(a, b, x):
     assert a.union(b).contains(x) == (a.contains(x) or b.contains(x))
+
+
+def _random_union(rng):
+    """A union of up to five pieces, many of them degenerate or with an
+    end on a coarse grid, so that pieces touch and reach 0 and 1."""
+    def end():
+        if rng.random() < 0.5:
+            return float(rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)))
+        return float(rng.random())
+
+    pieces = []
+    for _ in range(int(rng.integers(0, 6))):
+        a = end()
+        b = a if rng.random() < 0.3 else end()
+        pieces.append((min(a, b), max(a, b)))
+    return IntervalUnion(tuple(pieces))
+
+
+def test_set_operation_results_are_normalized():
+    """union, intersect, subtract and hull build their results without
+    the constructor's checks. Each result equals its own pieces rebuilt
+    by the public constructor under ==, hash and repr, intersect and
+    union equal the pairwise and concatenated references, and a result
+    stays immutable. interval() still checks its two ends."""
+    rng = np.random.default_rng(29)
+    seen = {"degenerate": 0, "touching": 0, "at 0": 0, "at 1": 0}
+    for _ in range(1000):
+        x, y = _random_union(rng), _random_union(rng)
+        seen["degenerate"] += any(a == b for a, b in x.pieces)
+        seen["touching"] += any(b == c or a == d for a, b in x.pieces for c, d in y.pieces)
+        seen["at 0"] += not x.is_empty and x.lo == 0.0
+        seen["at 1"] += not x.is_empty and x.hi == 1.0
+        pairwise = IntervalUnion(tuple(
+            (max(a, c), min(b, d))
+            for a, b in x.pieces for c, d in y.pieces if max(a, c) <= min(b, d)
+        ))
+        assert x.intersect(y) == pairwise
+        assert x.union(y) == IntervalUnion(x.pieces + y.pieces)
+        for got in (x.union(y), x.intersect(y), x.subtract(y), x.hull()):
+            rebuilt = IntervalUnion(got.pieces)
+            assert got == rebuilt
+            assert hash(got) == hash(rebuilt)
+            assert repr(got) == repr(rebuilt)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.pieces = ()
+    assert min(seen.values()) >= 75, seen
+    # the two sides of a removed point are one piece again
+    assert interval(0.0, 1.0).subtract(IntervalUnion.of((0.5, 0.5))).pieces == ((0.0, 1.0),)
+    with pytest.raises(SpecError, match="reversed"):
+        interval(0.6, 0.4)
+    for lo, hi in ((-2 * INPUT_SLACK, 0.5), (0.5, 1.0 + 2 * INPUT_SLACK)):
+        with pytest.raises(SpecError, match="outside the unit interval"):
+            interval(lo, hi)
+    assert interval(-INPUT_SLACK / 2, 1.0 + INPUT_SLACK / 2).pieces == ((0.0, 1.0),)
 
 
 def test_uniform_prior_moments():
@@ -294,7 +349,9 @@ def test_point_primitives_are_bitwise_the_per_call_slope_formulas():
     """The slope table and the one-bisection piece search change no bit
     of cdf, first_moment, integrated_cdf, pdf or quantile: at 0, at 1, at
     every knot and at random points, on 50 priors, half of them with
-    zero-density pieces."""
+    zero-density pieces. The paired (cdf, first_moment) primitive is
+    those two bit for bit there and at points just outside [0, 1] that
+    clip."""
     rng = np.random.default_rng(23)
     priors = [uniform_prior()] + [random_gapped_prior(rng) for _ in range(25)]
     for _ in range(24):
@@ -313,6 +370,10 @@ def test_point_primitives_are_bitwise_the_per_call_slope_formulas():
             for name in ("cdf", "first_moment", "integrated_cdf", "pdf"):
                 got, want = getattr(prior, name)(x), getattr(ref, name)(x)
                 assert got.hex() == want.hex(), (name, prior, x)
+        for x in [*xs, -INPUT_SLACK / 2, 1.0 + INPUT_SLACK / 2]:
+            cdf, moment = prior._cdf_moment(x)
+            assert cdf.hex() == prior.cdf(x).hex(), (prior, x)
+            assert moment.hex() == prior.first_moment(x).hex(), (prior, x)
         for s in [0.0, 1.0, *ref.cums[0], *(ref.cdf(x) for x in xs),
                   *rng.uniform(0.0, 1.0, size=40).tolist()]:
             assert prior.quantile(s).hex() == ref.quantile(s).hex(), (prior, s)

@@ -24,7 +24,7 @@ from disclosure_lab import (
     representation_payoff,
     uniform_prior,
 )
-from disclosure_lab.representation import validate_representation
+from disclosure_lab.representation import ICReport, validate_representation
 
 from conftest import random_three_action
 
@@ -257,20 +257,64 @@ def test_induced_distribution_is_feasible(gk2016):
     assert_allclose(locs, [1.0 / 12.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
 
 
+# Hand-built representations for the piece-list audits, on gk2016 unless
+# marked "gapped": a prior with no mass on [0.4, 0.6]. Each maps to the
+# validate_representation problems, is_laminar verdict and
+# is_incentive_compatible report that the union-based audits gave.
+_GAPPED = GameSpec(
+    plinear_prior((0.0, 0.4, 0.6, 1.0), (1.0, 0.0, 0.0, 1.0)),
+    (0.0, 0.3, 0.7, 1.0), (0.0, 1.0, 2.0),
+)
+_AUDIT_CASES = {
+    "overlap": ((0.0, 0.5), (0.4, 0.8), (0.8, 1.0)),
+    "gap": ((0.0, 0.2), (0.4, 0.8), (0.8, 1.0)),
+    "touching": ((0.0, 0.5), (0.5, 0.8), (0.8, 1.0)),
+    "anchor inside": ((0.0, 0.5), (1.0 / 3.0, 1.0 / 3.0), (0.5, 1.0)),
+    "anchor on top": ((0.0, 0.5), (0.5, 1.0), (2.0 / 3.0, 2.0 / 3.0)),
+    "gapped, empty gap": ((0.0, 0.45), (0.55, 0.8), (0.8, 1.0)),
+    "gapped, gap with mass": ((0.0, 0.3), (0.55, 0.8), (0.8, 1.0)),
+    "overlap above tol": ((0.0, 0.5 + 2e-9), (0.5, 0.8), (0.8, 1.0)),
+    "overlap below tol": ((0.0, 0.5 + 5e-10), (0.5, 0.8), (0.8, 1.0)),
+}
+_AUDITS = {
+    "overlap": (["cells 0 and 1 overlap with mass 1.000e-01"], False,
+                (1, ((1.0 / 3.0, 0.4),))),
+    "gap": (["cells leave mass 2.000e-01 uncovered"], True,
+            (0, ((0.2, 1.0 / 3.0),))),
+    "touching": ([], True, (1, ((1.0 / 3.0, 0.5),))),
+    "anchor inside": ([], True, (1, ((1.0 / 3.0, 0.5),))),
+    "anchor on top": ([], True, (1, ((1.0 / 3.0, 0.5),))),
+    "gapped, empty gap": ([], True, (1, ((0.3, 0.55),))),
+    "gapped, gap with mass": (["cells leave mass 3.125e-02 uncovered"], True,
+                              (1, ((0.3, 0.55),))),
+    "overlap above tol": (["cells 0 and 1 overlap with mass 2.000e-09"], False,
+                          (1, ((1.0 / 3.0, 0.5),))),
+    "overlap below tol": ([], True, (1, ((1.0 / 3.0, 0.5),))),
+}
+
+
+def _audit_case(name, gk2016):
+    spec = _GAPPED if name.startswith("gapped") else gk2016
+    cells = tuple(interval(*piece) for piece in _AUDIT_CASES[name])
+    return spec, DeterministicRepresentation(cells)
+
+
 def test_validate_representation_catches_overlap_and_gap(gk2016):
-    overlapping = DeterministicRepresentation(
-        (interval(0.0, 0.5), interval(0.4, 0.8), interval(0.8, 1.0))
-    )
-    problems = validate_representation(gk2016, overlapping)
-    assert any("overlap" in p for p in problems)
-    gappy = DeterministicRepresentation(
-        (interval(0.0, 0.2), interval(0.4, 0.8), interval(0.8, 1.0))
-    )
-    problems = validate_representation(gk2016, gappy)
-    assert any("uncovered" in p for p in problems)
+    """Coverage and overlap read off the piece lists: cells that touch at
+    a point or hold a degenerate anchor do not overlap, a gap where the
+    prior has no mass uncovers none, and an overlap counts only above
+    AUDIT_TOL. A failing coverage audit reports the uncovered part."""
+    for name, (problems, _, (action, uncovered)) in _AUDITS.items():
+        spec, rep = _audit_case(name, gk2016)
+        assert validate_representation(spec, rep) == problems, name
+        report = is_incentive_compatible(spec, rep)
+        assert report == ICReport(False, action, IntervalUnion(uncovered)), name
+    ok = commitment_solution(gk2016).canonical
+    assert validate_representation(gk2016, ok) == []
+    assert is_incentive_compatible(gk2016, ok) == ICReport(True)
 
 
-def test_laminar_rejects_interleaved_cells():
+def test_laminar_rejects_interleaved_cells(gk2016):
     rep = DeterministicRepresentation(
         (
             interval(0.0, 0.2).union(interval(0.4, 0.6)),
@@ -279,6 +323,8 @@ def test_laminar_rejects_interleaved_cells():
         )
     )
     assert not is_laminar(rep)
+    for name, (_, laminar, _) in _AUDITS.items():
+        assert is_laminar(_audit_case(name, gk2016)[1]) is laminar, name
 
 
 def test_payoff_rejects_invalid_representation(gk2016):
