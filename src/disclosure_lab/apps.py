@@ -9,7 +9,6 @@ median voter, whose two indifference cutoffs define a three-action game.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .equilibrium import _density_nondecreasing, preferred_ore
@@ -19,13 +18,13 @@ from .prior import (
     SELLER_CUT_GAP,
     TIE_MARGIN,
     Prior,
+    Record,
     SpecError,
     uniform_prior,
 )
 
 
-@dataclass(frozen=True)
-class SellerModel:
+class SellerModel(Record):
     """Seller of a good of unknown quality, sold at a posted price.
 
     utility is either {"kind": "crra", "sigma": s} for U(q) = q^(1-s)
@@ -33,10 +32,19 @@ class SellerModel:
     strictly increasing and strictly concave.
     """
 
-    utility: dict
-    price: float
-    cost: float = 0.0
-    prior: Prior = field(default_factory=uniform_prior)
+    __slots__ = _fields = ("utility", "price", "cost", "prior")
+
+    def __init__(
+        self,
+        utility: dict,
+        price: float,
+        cost: float = 0.0,
+        prior: Prior = uniform_prior(),
+    ) -> None:
+        object.__setattr__(self, "utility", utility)
+        object.__setattr__(self, "price", price)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "prior", prior)
 
 
 def _read_utility(utility) -> tuple[str, float | list[float]]:
@@ -122,8 +130,7 @@ def seller_to_game(model: SellerModel) -> GameSpec:
     return GameSpec(model.prior, cutoffs, values)
 
 
-@dataclass(frozen=True)
-class PrudenceReport:
+class PrudenceReport(Record):
     """Both sufficient-condition readings for the seller, side by side.
 
     ok is the stated hypothesis: prudence more than twice absolute risk
@@ -132,10 +139,15 @@ class PrudenceReport:
     game, which includes the first gap and can disagree.
     """
 
-    ok: bool
-    prudent: bool
-    density_ok: bool
-    gap_chain_ok: bool
+    __slots__ = _fields = ("ok", "prudent", "density_ok", "gap_chain_ok")
+
+    def __init__(
+        self, ok: bool, prudent: bool, density_ok: bool, gap_chain_ok: bool
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "prudent", prudent)
+        object.__setattr__(self, "density_ok", density_ok)
+        object.__setattr__(self, "gap_chain_ok", gap_chain_ok)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -189,12 +201,16 @@ def check_prudence(model: SellerModel) -> PrudenceReport:
     )
 
 
-@dataclass(frozen=True)
-class Voter:
-    alpha_ab: float
-    alpha_b: float
-    beta_ab: float
-    beta_b: float
+class Voter(Record):
+    __slots__ = _fields = ("alpha_ab", "alpha_b", "beta_ab", "beta_b")
+
+    def __init__(
+        self, alpha_ab: float, alpha_b: float, beta_ab: float, beta_b: float
+    ) -> None:
+        object.__setattr__(self, "alpha_ab", alpha_ab)
+        object.__setattr__(self, "alpha_b", alpha_b)
+        object.__setattr__(self, "beta_ab", beta_ab)
+        object.__setattr__(self, "beta_b", beta_b)
 
     @property
     def gamma1(self) -> float:
@@ -205,8 +221,7 @@ class Voter:
         return (self.alpha_ab - self.alpha_b) / (self.beta_b - self.beta_ab)
 
 
-@dataclass(frozen=True)
-class VotingModel:
+class VotingModel(Record):
     """Committee voting over a bill and its amended version, where
     rejecting both is the default outcome.
 
@@ -215,18 +230,25 @@ class VotingModel:
     ordered slopes and intercepts with cutoffs inside (0, 1).
     """
 
-    voters: tuple[Voter, ...]
-    v_ab: float
-    v_b: float
-    prior: Prior = field(default_factory=uniform_prior)
+    __slots__ = _fields = ("voters", "v_ab", "v_b", "prior")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        voters: tuple[Voter, ...],
+        v_ab: float,
+        v_b: float,
+        prior: Prior = uniform_prior(),
+    ) -> None:
+        object.__setattr__(self, "voters", voters)
+        object.__setattr__(self, "v_ab", v_ab)
+        object.__setattr__(self, "v_b", v_b)
+        object.__setattr__(self, "prior", prior)
         out = []
-        if len(self.voters) % 2 == 0 or not self.voters:
+        if len(voters) % 2 == 0 or not voters:
             out.append("voter count must be odd")
-        if not self.v_b > self.v_ab > 0.0:
+        if not v_b > v_ab > 0.0:
             out.append("expert values must satisfy v_b > v_ab > 0")
-        for j, v in enumerate(self.voters):
+        for j, v in enumerate(voters):
             if not v.beta_b > v.beta_ab > 0.0:
                 out.append(f"voter {j}: slopes must satisfy beta_b > beta_ab > 0")
                 continue
@@ -268,18 +290,24 @@ def voting_to_game(model: VotingModel) -> tuple[GameSpec, int]:
     return spec, m
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    parameter: float
-    gamma2_m: float
-    payoff: float
-    implementable: bool
+class SweepRow(Record):
+    __slots__ = _fields = ("parameter", "gamma2_m", "payoff", "implementable")
+
+    def __init__(
+        self, parameter: float, gamma2_m: float, payoff: float, implementable: bool
+    ) -> None:
+        object.__setattr__(self, "parameter", parameter)
+        object.__setattr__(self, "gamma2_m", gamma2_m)
+        object.__setattr__(self, "payoff", payoff)
+        object.__setattr__(self, "implementable", implementable)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    payoff_decrease: bool
+class SweepResult(Record):
+    __slots__ = _fields = ("rows", "payoff_decrease")
+
+    def __init__(self, rows: tuple[SweepRow, ...], payoff_decrease: bool) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "payoff_decrease", payoff_decrease)
 
 
 def voting_comparative_statics(
@@ -298,7 +326,10 @@ def voting_comparative_statics(
     rows = []
     for d in deltas:
         voters = tuple(
-            replace(v, **{parameter: getattr(v, parameter) + d})
+            Voter(**{
+                name: getattr(v, name) + d if name == parameter else getattr(v, name)
+                for name in Voter._fields
+            })
             for v in model.voters
         )
         variant = VotingModel(voters, model.v_ab, model.v_b, model.prior)

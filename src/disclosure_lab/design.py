@@ -22,7 +22,6 @@ library alone, and importing this module loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Optional
@@ -45,6 +44,7 @@ from .prior import (
     TIE_MARGIN,
     IntervalUnion,
     Prior,
+    Record,
     SolverError,
     SpecError,
     find_root,
@@ -71,20 +71,31 @@ def _snap_loc(spec: GameSpec, mean: float, target: float) -> float:
     return _snap_to_cutoff(spec, mean)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One maximal interval of the optimal partition."""
 
-    outer: IntervalUnion
-    kind: str  # "revealed" | "pooling" | "bipooling"
-    means: tuple[float, ...]
+    __slots__ = _fields = ("outer", "kind", "means")
+
+    def __init__(
+        self, outer: IntervalUnion, kind: str, means: tuple[float, ...]
+    ) -> None:
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "kind", kind)  # "revealed" | "pooling" | "bipooling"
+        object.__setattr__(self, "means", means)
 
 
-@dataclass(frozen=True)
-class BiPoolingSolution:
-    distribution: MeanDistribution
-    segments: tuple[Segment, ...]
-    canonical: DeterministicRepresentation
+class BiPoolingSolution(Record):
+    __slots__ = _fields = ("distribution", "segments", "canonical")
+
+    def __init__(
+        self,
+        distribution: MeanDistribution,
+        segments: tuple[Segment, ...],
+        canonical: DeterministicRepresentation,
+    ) -> None:
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "canonical", canonical)
 
     @property
     def payoff(self) -> float:
@@ -190,8 +201,10 @@ def _realize_segments(
     applies every placement rule; this adds only what a built design
     needs: each bi-pool split by ``nested_interval_rep``, whose parts
     give its two atoms their masses, the revealed union, each cell
-    built once from its pieces, and the pool threshold. The payoff is
-    ``_place``'s, the one the small-game solver ranks candidates by.
+    built once from its pieces, and the pool threshold. Those pieces
+    lie in [0, 1] already, as ``_place`` and the split leave them, so
+    the unions are merged and built trusted. The payoff is ``_place``'s,
+    the one the small-game solver ranks candidates by.
     """
     prior = spec.prior
     payoff, seen, placed = placement
@@ -213,7 +226,7 @@ def _realize_segments(
     atoms.sort()
     cells = []
     for i, pieces in enumerate(seen):
-        cell = IntervalUnion((*pooled[i], *pieces))
+        cell = IntervalUnion._trusted(merge_pieces((*pooled[i], *pieces)))
         if prior.mass(cell) <= NEGLIGIBLE and cell.length <= NEGLIGIBLE:
             cell = interval(spec.cutoffs[i], spec.cutoffs[i])
         cells.append(cell)
@@ -225,7 +238,7 @@ def _realize_segments(
     ]
     threshold = min(cutoff_atoms) if cutoff_atoms and len(cutoff_atoms) < len(atoms) else None
 
-    revealed = IntervalUnion(tuple(p for pieces in seen for p in pieces))
+    revealed = IntervalUnion._trusted(merge_pieces(p for cell in seen for p in cell))
     dist = MeanDistribution(
         tuple(atoms), revealed=revealed, payoff=payoff, pool_threshold=threshold
     )

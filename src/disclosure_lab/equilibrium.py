@@ -8,7 +8,6 @@ equilibrium at any payoff between unraveling and the preferred one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .design import _nested_y, commitment_solution
@@ -20,6 +19,7 @@ from .prior import (
     NEGLIGIBLE,
     IntervalUnion,
     Prior,
+    Record,
     SolverError,
     SpecError,
     find_root,
@@ -38,12 +38,22 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
-class ImplementabilityReport:
-    implementable: bool
-    canonical: DeterministicRepresentation
-    violations: tuple
-    commitment_payoff: float
+class ImplementabilityReport(Record):
+    __slots__ = _fields = (
+        "implementable", "canonical", "violations", "commitment_payoff"
+    )
+
+    def __init__(
+        self,
+        implementable: bool,
+        canonical: DeterministicRepresentation,
+        violations: tuple,
+        commitment_payoff: float,
+    ) -> None:
+        object.__setattr__(self, "implementable", implementable)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "commitment_payoff", commitment_payoff)
 
 
 def implementable(spec: GameSpec) -> ImplementabilityReport:
@@ -129,12 +139,16 @@ def check_c3i(spec: GameSpec) -> bool:
     return _density_nondecreasing(spec.prior) and spec.values[2] > 2.0 * spec.values[1]
 
 
-@dataclass(frozen=True)
-class OREAudit:
-    ok: bool
-    obedience: ObedienceReport
-    ic: ICReport
-    payoff: float
+class OREAudit(Record):
+    __slots__ = _fields = ("ok", "obedience", "ic", "payoff")
+
+    def __init__(
+        self, ok: bool, obedience: ObedienceReport, ic: ICReport, payoff: float
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "obedience", obedience)
+        object.__setattr__(self, "ic", ic)
+        object.__setattr__(self, "payoff", payoff)
 
 
 def verify_ore(spec: GameSpec, rep: DeterministicRepresentation) -> OREAudit:
@@ -146,11 +160,18 @@ def verify_ore(spec: GameSpec, rep: DeterministicRepresentation) -> OREAudit:
     return OREAudit(obed.ok and ic.ok, obed, ic, payoff)
 
 
-@dataclass(frozen=True)
-class OREResult:
-    rep: DeterministicRepresentation
-    payoff: float
-    coincides_with_commitment: bool
+class OREResult(Record):
+    __slots__ = _fields = ("rep", "payoff", "coincides_with_commitment")
+
+    def __init__(
+        self,
+        rep: DeterministicRepresentation,
+        payoff: float,
+        coincides_with_commitment: bool,
+    ) -> None:
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "payoff", payoff)
+        object.__setattr__(self, "coincides_with_commitment", coincides_with_commitment)
 
 
 def _anchor(spec: GameSpec, i: int) -> IntervalUnion:

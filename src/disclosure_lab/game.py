@@ -15,7 +15,6 @@ violated invariant raises SpecError, so every consumer can rely on it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional
 
 from .prior import (
@@ -24,13 +23,13 @@ from .prior import (
     MPC_TOL,
     IntervalUnion,
     Prior,
+    Record,
     SpecError,
     interval,
 )
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Record):
     """Prior, cutoffs 0 = gamma_0 < ... < gamma_n = 1, and action values
     0 = v_0 < ... < v_{n-1}.
 
@@ -38,13 +37,14 @@ class GameSpec:
     finds violated, so a spec that exists is valid.
     """
 
-    prior: Prior
-    cutoffs: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = _fields = ("prior", "cutoffs", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cutoffs", tuple(float(c) for c in self.cutoffs))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+    def __init__(
+        self, prior: Prior, cutoffs: tuple[float, ...], values: tuple[float, ...]
+    ) -> None:
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "cutoffs", tuple(float(c) for c in cutoffs))
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
         problems = validate(self)
         if problems:
             raise SpecError("invalid game spec: " + "; ".join(problems))
@@ -125,8 +125,7 @@ def cheap_talk_payoff(spec: GameSpec) -> float:
     return value_at(spec, spec.prior.mean)
 
 
-@dataclass(frozen=True)
-class MeanDistribution:
+class MeanDistribution(Record):
     """Distribution over posterior means: atoms plus a region of full
     revelation, a possibly empty union, where it coincides with the prior.
 
@@ -134,19 +133,22 @@ class MeanDistribution:
     not pinned to a cutoff; solvers fill it for diagnostics only.
     """
 
-    atoms: tuple[tuple[float, float], ...]
-    revealed: IntervalUnion = IntervalUnion.empty()
-    payoff: float = 0.0
-    pool_threshold: Optional[float] = None
+    __slots__ = _fields = ("atoms", "revealed", "payoff", "pool_threshold")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple((float(x), float(p)) for x, p in self.atoms),
-        )
-        if any(p < -INPUT_SLACK for _, p in self.atoms):
+    def __init__(
+        self,
+        atoms: tuple[tuple[float, float], ...],
+        revealed: IntervalUnion = IntervalUnion.empty(),
+        payoff: float = 0.0,
+        pool_threshold: Optional[float] = None,
+    ) -> None:
+        atoms = tuple((float(x), float(p)) for x, p in atoms)
+        if any(p < -INPUT_SLACK for _, p in atoms):
             raise SpecError("atom probabilities must be nonnegative")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "revealed", revealed)
+        object.__setattr__(self, "payoff", payoff)
+        object.__setattr__(self, "pool_threshold", pool_threshold)
 
     def total_mass(self, prior: Prior) -> float:
         return sum(p for _, p in self.atoms) + prior.mass(self.revealed)

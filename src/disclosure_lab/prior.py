@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 # Numeric thresholds of the package, each named once. Every module takes
@@ -174,8 +172,49 @@ def _checked_piece(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields``, in constructor order,
+    lists them in ``__slots__`` and sets them in a hand-written
+    ``__init__`` with ``object.__setattr__``. Equality and hashing
+    compare the tuple of those fields, between instances of one class,
+    and repr prints them as ``Name(field=value, ...)``. Assigning or
+    deleting an attribute raises AttributeError; copy and pickle restore
+    every slot as it was.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the slots, (None, {slot: value}), here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class IntervalUnion(Record):
     """Finite union of closed intervals inside [0, 1].
 
     Pieces are kept sorted with disjoint interiors; touching or
@@ -189,7 +228,11 @@ class IntervalUnion:
     algebra above keeps normalized inputs normalized.
     """
 
-    pieces: Pieces
+    __slots__ = _fields = ("pieces",)
+
+    def __init__(self, pieces: Pieces) -> None:
+        object.__setattr__(self, "pieces", pieces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cleaned = [_checked_piece(lo, hi) for lo, hi in self.pieces]
@@ -266,26 +309,27 @@ def interval(lo: float, hi: float) -> IntervalUnion:
     return IntervalUnion._trusted((_checked_piece(lo, hi),))
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(Record):
     """Piecewise linear density on [0, 1], normalized to integrate to one.
 
     kind is "uniform" or "plinear"; the uniform prior is stored as the
     constant-density special case so every moment shares one code path.
-    Each piece's slope and the cumulative moments at the knots are
-    computed once, on first use, so a point primitive is one bisection
-    for its piece and a few flops.
+    The constructor also computes each piece's slope, the cumulative
+    moments at the knots, the mean and the support end, so a point
+    primitive is one bisection for its piece and a few flops. Equality,
+    hashing and repr read kind, knots and density only.
     """
 
-    kind: str
-    knots: tuple[float, ...]
-    density: tuple[float, ...]
+    _fields = ("kind", "knots", "density")
+    __slots__ = _fields + ("_slopes", "_cums", "mean", "support_end")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "plinear"):
-            raise SpecError(f"unknown prior kind {self.kind!r}")
-        knots = tuple(float(k) for k in self.knots)
-        dens = tuple(float(d) for d in self.density)
+    def __init__(
+        self, kind: str, knots: tuple[float, ...], density: tuple[float, ...]
+    ) -> None:
+        if kind not in ("uniform", "plinear"):
+            raise SpecError(f"unknown prior kind {kind!r}")
+        knots = tuple(float(k) for k in knots)
+        dens = tuple(float(d) for d in density)
         if len(knots) != len(dens) or len(knots) < 2:
             raise SpecError("knots and density must align with length >= 2")
         if abs(knots[0]) > INPUT_SLACK or abs(knots[-1] - 1.0) > INPUT_SLACK:
@@ -302,18 +346,15 @@ class Prior:
         if total <= 0.0:
             raise SpecError("density integrates to zero")
         dens = tuple(d / total for d in dens)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "density", dens)
-
-    @cached_property
-    def _cums(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """Cumulative (cdf, first moment, integrated cdf) at the knots."""
+        slopes = tuple(
+            (dens[i + 1] - dens[i]) / (knots[i + 1] - knots[i])
+            for i in range(len(knots) - 1)
+        )
+        # cumulative cdf, first moment and integrated cdf at the knots
         cf = [0.0]
         cm = [0.0]
         ct = [0.0]
-        for a, b, da, db, slope in zip(
-            self.knots, self.knots[1:], self.density, self.density[1:], self._slopes
-        ):
+        for a, b, da, db, slope in zip(knots, knots[1:], dens, dens[1:], slopes):
             length = b - a
             cf.append(cf[-1] + length * (da + db) / 2.0)
             cm.append(
@@ -327,13 +368,17 @@ class Prior:
                 + da * length**2 / 2.0
                 + slope * length**3 / 6.0
             )
-        return tuple(cf), tuple(cm), tuple(ct)
-
-    @cached_property
-    def _slopes(self) -> tuple[float, ...]:
-        """Slope of the density on each piece."""
-        k, d = self.knots, self.density
-        return tuple((d[i + 1] - d[i]) / (k[i + 1] - k[i]) for i in range(len(k) - 1))
+        # The support ends at the right knot of the last piece whose
+        # density is positive at either end: exact where quantile(1.0)
+        # inverts a cdf that cancels in a faint tail.
+        last = max(i for i, d in enumerate(dens) if d > 0.0)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "density", dens)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_cums", (tuple(cf), tuple(cm), tuple(ct)))
+        object.__setattr__(self, "mean", cm[-1])
+        object.__setattr__(self, "support_end", knots[min(last + 1, len(knots) - 1)])
 
     # Each point primitive finds its piece by one bisection over the left
     # knots, so x = 1 lands on the last piece. cdf and first_moment are
@@ -419,18 +464,6 @@ class Prior:
         # root of d t + slope t^2 / 2 = r, in the form that does not cancel
         t = 2.0 * r / (d + (max(d * d + 2.0 * slope * r, 0.0)) ** 0.5)
         return min(a + t, b)
-
-    @cached_property
-    def mean(self) -> float:
-        return self._cums[1][-1]
-
-    @cached_property
-    def support_end(self) -> float:
-        """Right end of the support, read off the knots: the right knot of
-        the last piece whose density is positive at either end. Exact where
-        quantile(1.0) inverts a cdf that cancels in a faint tail."""
-        last = max(i for i, d in enumerate(self.density) if d > 0.0)
-        return self.knots[min(last + 1, len(self.knots) - 1)]
 
     def mass(self, region: IntervalUnion) -> float:
         return sum(self.cdf(b) - self.cdf(a) for a, b in region.pieces)

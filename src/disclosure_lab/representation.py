@@ -11,7 +11,6 @@ arising from one nested pair per bi-pooled segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .game import GameSpec, MeanDistribution
@@ -23,6 +22,7 @@ from .prior import (
     IntervalUnion,
     Pieces,
     Prior,
+    Record,
     SolverError,
     SpecError,
     find_root,
@@ -33,18 +33,17 @@ from .prior import (
 )
 
 
-@dataclass(frozen=True)
-class DeterministicRepresentation:
+class DeterministicRepresentation(Record):
     """One interval union per action, lowest action first.
 
     Skipped actions are represented by a degenerate anchor [g_i, g_i]
     at the action's own lower cutoff (or an empty union).
     """
 
-    cells: tuple[IntervalUnion, ...]
+    __slots__ = _fields = ("cells",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
+    def __init__(self, cells: tuple[IntervalUnion, ...]) -> None:
+        object.__setattr__(self, "cells", tuple(cells))
 
     @property
     def n_actions(self) -> int:
@@ -122,19 +121,25 @@ def induced_distribution(
     return MeanDistribution(tuple(atoms), payoff=payoff)
 
 
-@dataclass(frozen=True)
-class ObedienceRow:
-    action: int
-    mean: float
-    lo: float
-    hi: float
-    ok: bool
+class ObedienceRow(Record):
+    __slots__ = _fields = ("action", "mean", "lo", "hi", "ok")
+
+    def __init__(
+        self, action: int, mean: float, lo: float, hi: float, ok: bool
+    ) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class ObedienceReport:
-    ok: bool
-    rows: tuple[ObedienceRow, ...]
+class ObedienceReport(Record):
+    __slots__ = _fields = ("ok", "rows")
+
+    def __init__(self, ok: bool, rows: tuple[ObedienceRow, ...]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "rows", rows)
 
 
 def is_obedient(spec: GameSpec, rep: DeterministicRepresentation) -> ObedienceReport:
@@ -152,11 +157,18 @@ def is_obedient(spec: GameSpec, rep: DeterministicRepresentation) -> ObedienceRe
     return ObedienceReport(all(r.ok for r in rows), tuple(rows))
 
 
-@dataclass(frozen=True)
-class ICReport:
-    ok: bool
-    action: Optional[int] = None
-    uncovered: Optional[IntervalUnion] = None
+class ICReport(Record):
+    __slots__ = _fields = ("ok", "action", "uncovered")
+
+    def __init__(
+        self,
+        ok: bool,
+        action: Optional[int] = None,
+        uncovered: Optional[IntervalUnion] = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "uncovered", uncovered)
 
 
 def is_incentive_compatible(
@@ -317,13 +329,17 @@ def is_laminar(rep: DeterministicRepresentation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prop2Violation:
-    kind: str  # "skipped-action" or "nested-pair"
-    action: int
-    cell: int
-    sup: float
-    bound: float
+class Prop2Violation(Record):
+    __slots__ = _fields = ("kind", "action", "cell", "sup", "bound")
+
+    def __init__(
+        self, kind: str, action: int, cell: int, sup: float, bound: float
+    ) -> None:
+        object.__setattr__(self, "kind", kind)  # "skipped-action" or "nested-pair"
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "bound", bound)
 
     def describe(self) -> str:
         if self.kind == "skipped-action":
@@ -337,10 +353,12 @@ class Prop2Violation:
         )
 
 
-@dataclass(frozen=True)
-class Prop2Report:
-    ok: bool
-    violations: tuple[Prop2Violation, ...]
+class Prop2Report(Record):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Prop2Violation, ...]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def _canonical_pairs(

@@ -279,7 +279,8 @@ for verb, absent in (
     ("suffcond", ("apps",)),
 ):
     assert main([verb, {str(SPECS / "exy.json")!r}]) == 0
-    names = [f"disclosure_lab.{{module}}" for module in absent] + ["logging"]
+    names = [f"disclosure_lab.{{module}}" for module in absent]
+    names += ["logging", "dataclasses", "inspect"]
     assert loaded(*names) == [], (verb, loaded(*names))
 """
 

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import math
 
 import numpy as np
@@ -138,7 +137,7 @@ def test_set_operation_results_are_normalized():
             assert got == rebuilt
             assert hash(got) == hash(rebuilt)
             assert repr(got) == repr(rebuilt)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 got.pieces = ()
     assert min(seen.values()) >= 75, seen
     # the two sides of a removed point are one piece again
