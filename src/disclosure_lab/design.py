@@ -437,10 +437,20 @@ class _DualSimplex:
     primal row, so rows added after a solve are new dual columns: the
     basis stays feasible and the next solve starts from the last
     optimum. Column i < m is the surplus -e_i of dual constraint i, and
-    its reduced cost is x_i; column m + j is primal row j. The basis
+    its reduced cost is x_i; column m + j is primal row j, and its
+    reduced cost is that row's slack bound_j - row_j . x. The basis
     inverse is dense and updated at each pivot. An optimum is accepted
     on an inverse fewer than m updates old, an unbounded ray only on one
     refactored from the basis.
+
+    Rows come in two kinds, and pricing keeps them in column order. A
+    row given to ``add`` is priced by its dot product with x. A tangent
+    given to ``add_tangent`` stands for the n - 1 rows
+    slope P_k - Q_k <= bound on an x = (p, q) of 2n entries, where P_k
+    and Q_k are the sums of the first k entries of p and of q; those
+    sums are taken once per pricing pass, so a tangent is priced in
+    O(n), not O(n^2). Its rows are kept dense too, for the refactor and
+    the entering column.
 
     The constructor takes the first row and prices it at
     y = max objective_i / row_i over row_i > 0. The start basis holds
@@ -463,8 +473,12 @@ class _DualSimplex:
     ) -> None:
         m = self.m = len(objective)
         self.objective = list(objective)
-        self.cols = [[-float(r == i) for r in range(m)] for i in range(m)] + [row]
-        self.bounds = [0.0] * m + [bound]
+        self.cols = [[-float(r == i) for r in range(m)] for i in range(m)]
+        self.bounds = [0.0] * m
+        # what prices the primal rows, in column order: (row, 0, bound)
+        # for a row, (None, slope, bound) for a tangent's n - 1 rows
+        self.pricing: list[tuple[Optional[list[float]], float, float]] = []
+        self.add(row, bound)
         ratio = {i: c / a for i, (a, c) in enumerate(zip(row, objective)) if a > 0.0}
         top = max(ratio, key=ratio.get, default=None)
         if top is None or ratio[top] < 0.0 or any(
@@ -481,19 +495,34 @@ class _DualSimplex:
     def add(self, row: list[float], bound: float) -> None:
         self.cols.append(row)
         self.bounds.append(bound)
+        self.pricing.append((row, 0.0, bound))
+
+    def add_tangent(self, slope: float, bound: float) -> None:
+        """The rows slope P_k - Q_k <= bound, for k = 1..n - 1."""
+        n = self.m // 2
+        for k in range(1, n):
+            rest = [0.0] * (n - k)
+            self.cols.append([slope] * k + rest + [-1.0] * k + rest)
+            self.bounds.append(bound)
+        self.pricing.append((None, slope, bound))
 
     def solve(self) -> list[float]:
         """The optimal x, pivoting on from the last basis."""
         m, cols, bounds, basis = self.m, self.cols, self.bounds, self.basis
+        n = m // 2
         pivots = 0
         while True:
             cb = [bounds[j] for j in basis]
             pi = [sum(map(mul, cb, col)) for col in zip(*self.binv)]
+            run = list(zip(accumulate(pi[: n - 1]), accumulate(pi[n:-1])))
             # reduced costs of the surplus columns, then the primal rows
-            rc = pi + [
-                b - sum(map(mul, pi, col)) for b, col in zip(bounds[m:], cols[m:])
-            ]
-            k = min(range(len(rc)), key=rc.__getitem__)
+            rc = list(pi)
+            for row, slope, b in self.pricing:
+                if row is None:
+                    rc += [b - (slope * pk - qk) for pk, qk in run]
+                else:
+                    rc.append(b - sum(map(mul, pi, row)))
+            k = rc.index(min(rc))
             if rc[k] >= -LP_TOL:
                 # an optimum stands on a factor fewer than m updates old
                 if self.updates < m:
@@ -577,9 +606,6 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
     prior = spec.prior
     n, g = spec.n_actions, spec.cutoffs
 
-    def lorenz(s: float) -> float:
-        return prior.first_moment(prior.quantile(s))
-
     ones, zeros = [1.0] * n, [0.0] * n
     # sum p <= 1 starts the simplex, priced at the top value; with the
     # next three rows, sum p = 1 and sum q = prior mean
@@ -592,26 +618,26 @@ def _solve_cells(spec: GameSpec) -> BiPoolingSolution:
         lp.add([g[i] * u for u in unit] + [-u for u in unit], 0.0)  # g_i p_i - q_i <= 0
         lp.add([-g[i + 1] * u for u in unit] + unit, 0.0)  # q_i - g_{i+1} p_i <= 0
 
-    def cut(s: float) -> None:
-        # tangent at s: Q_k >= L(s) + F^-1(s) (P_k - s), for every k
-        x = prior.quantile(s)
-        for k in range(1, n):
-            rest = [0.0] * (n - k)
-            lp.add([x] * k + rest + [-1.0] * k + rest, x * s - lorenz(s))
-
+    # the tangent at s, with x = F^-1(s):
+    # Q_k >= L(s) + x (P_k - s), for every k;
     # start from tangents at the cutoffs' quantiles and on an even grid
     for s in [prior.cdf(c) for c in g[1:-1]] + [j / 8.0 for j in range(1, 8)]:
-        cut(s)
+        x = prior.quantile(s)
+        lp.add_tangent(x, x * s - prior.first_moment(x))
     for _ in range(_CUT_ROUNDS):
-        x = lp.solve()
-        p, q = x[:n], x[n:]
+        opt = lp.solve()
+        p, q = opt[:n], opt[n:]
         run_p, run_q = list(accumulate(p))[:-1], list(accumulate(q))[:-1]
-        slack = [qk - lorenz(pk) for pk, qk in zip(run_p, run_q)]
+        # one quantile and one Lorenz value per point, for its slack and
+        # its cut
+        xs = [prior.quantile(pk) for pk in run_p]
+        lorenz = [prior.first_moment(x) for x in xs]
+        slack = [qk - lk for qk, lk in zip(run_q, lorenz)]
         if min(slack) >= -LP_TOL:
             break
-        for pk, sk in zip(run_p, slack):
+        for pk, x, lk, sk in zip(run_p, xs, lorenz, slack):
             if sk < -LP_TOL:
-                cut(pk)
+                lp.add_tangent(x, x * pk - lk)
     else:
         raise SolverError(
             f"Lorenz cuts did not converge in {_CUT_ROUNDS} rounds"

@@ -901,11 +901,19 @@ def test_cell_solver_on_payoff_ties():
         assert lp - 2e-6 <= sol.payoff <= lp + 1e-6
 
 
+def _tangent_rows(n, slope, bound):
+    """The n - 1 rows slope P_k - Q_k <= bound that a tangent stands for."""
+    rows = []
+    for k in range(1, n):
+        rest = [0.0] * (n - k)
+        rows.append([slope] * k + rest + [-1.0] * k + rest)
+    return rows, [bound] * (n - 1)
+
+
 def _cell_lp(rng):
     """A seeded LP shaped like the cell LP of ``_solve_cells``: n = 4-6
-    atoms (p, q), total mass and mean pairs, cutoff rows, and
-    prefix-sum tangent rows at 4-20 random points of the prior's Lorenz
-    curve."""
+    atoms (p, q), total mass and mean pairs, cutoff rows, and tangents
+    (slope, bound) at 4-20 random points of the prior's Lorenz curve."""
     spec = random_many_action(rng)
     prior, n, g = spec.prior, spec.n_actions, spec.cutoffs
     ones, zeros = [1.0] * n, [0.0] * n
@@ -918,13 +926,11 @@ def _cell_lp(rng):
         rows += [[g[i] * u for u in unit] + [-u for u in unit],
                  [-g[i + 1] * u for u in unit] + unit]
         bounds += [0.0, 0.0]
+    tangents = []
     for s in rng.uniform(0.0, 1.0, size=int(rng.integers(4, 21))).tolist():
         x = prior.quantile(s)
-        for k in range(1, n):
-            rest = [0.0] * (n - k)
-            rows.append([x] * k + rest + [-1.0] * k + rest)
-            bounds.append(x * s - prior.first_moment(x))
-    return list(spec.values) + zeros, rows, bounds
+        tangents.append((x, x * s - prior.first_moment(x)))
+    return list(spec.values) + zeros, rows, bounds, tangents
 
 
 def _assert_matches_highs(objective, rows, bounds, x):
@@ -941,22 +947,30 @@ def _assert_matches_highs(objective, rows, bounds, x):
 
 def test_dual_simplex_matches_highs_on_cell_shaped_lps():
     """Seeded LPs shaped like the cell LP, solved cold in one go and warm
-    from the optimum of their first half of rows."""
-    rng = np.random.default_rng(31)
+    from the optimum of half of their rows, with tangents added through
+    ``add_tangent``. The warm solve takes rows and tangents in a shuffled
+    order, so that dense rows also come after tangents."""
+    rng, shuffle = np.random.default_rng(31), np.random.default_rng(32)
     for _ in range(40):
-        objective, rows, bounds = _cell_lp(rng)
+        objective, rows, bounds, tangents = _cell_lp(rng)
+        n = len(objective) // 2
+        # (method, its arguments, the rows and bounds they stand for)
+        items = [("add", (row, b), [row], [b]) for row, b in zip(rows[1:], bounds[1:])]
+        items += [("add_tangent", t, *_tangent_rows(n, *t)) for t in tangents]
         cold = _DualSimplex(objective, rows[0], bounds[0])
         warm = _DualSimplex(objective, rows[0], bounds[0])
-        half = len(rows) // 2
-        for row, bound in zip(rows[1:], bounds[1:]):
-            cold.add(row, bound)
-        for row, bound in zip(rows[1:half], bounds[1:half]):
-            warm.add(row, bound)
-        _assert_matches_highs(objective, rows[:half], bounds[:half], warm.solve())
-        for row, bound in zip(rows[half:], bounds[half:]):
-            warm.add(row, bound)
-        _assert_matches_highs(objective, rows, bounds, cold.solve())
-        _assert_matches_highs(objective, rows, bounds, warm.solve())
+        for method, args, _, _ in items:
+            getattr(cold, method)(*args)
+        seen_rows, seen_bounds = rows[:1], bounds[:1]
+        order = shuffle.permutation(len(items)).tolist()
+        for step, i in enumerate(order):
+            if step == len(items) // 2:
+                _assert_matches_highs(objective, seen_rows, seen_bounds, warm.solve())
+            method, args, more_rows, more_bounds = items[i]
+            getattr(warm, method)(*args)
+            seen_rows, seen_bounds = seen_rows + more_rows, seen_bounds + more_bounds
+        _assert_matches_highs(objective, seen_rows, seen_bounds, cold.solve())
+        _assert_matches_highs(objective, seen_rows, seen_bounds, warm.solve())
 
 
 def test_dual_simplex_matches_highs_on_the_cut_loops_lps(monkeypatch):
@@ -981,12 +995,71 @@ def test_dual_simplex_matches_highs_on_the_cut_loops_lps(monkeypatch):
         _assert_matches_highs(objective, rows, bounds, x)
 
 
+def test_tangent_pricing_gives_the_dense_answer(monkeypatch):
+    """The cell solver with its tangents priced from running sums and
+    with the same rows added and priced as dense rows: both designs are
+    feasible and pay the same within 1e-9."""
+    games = []
+    for family, seed in ((random_many_action, 43), (random_gapped_many_action, 44)):
+        rng = np.random.default_rng(seed)
+        games += [family(rng) for _ in range(15)]
+    by_tangent = [_solve_cells(spec) for spec in games]
+
+    class Dense(_DualSimplex):
+        def add_tangent(self, slope, bound):
+            for row, b in zip(*_tangent_rows(self.m // 2, slope, bound)):
+                self.add(row, b)
+
+    monkeypatch.setattr(design, "_DualSimplex", Dense)
+    for spec, tangent in zip(games, by_tangent):
+        dense = _solve_cells(spec)
+        assert dense.payoff == pytest.approx(tangent.payoff, abs=1e-9)
+        for sol in (tangent, dense):
+            assert sol.distribution.validate(spec.prior) == []
+            assert dominance_gap(spec.prior, sol.distribution) <= 1e-8
+
+
+def test_the_cut_loop_takes_one_lorenz_value_per_point(monkeypatch):
+    """A cost guard that needs no clock: the cut loop evaluates the
+    prior's first moment once per tangent point and once per slack it
+    checks, so a tangent does not cost one Lorenz value per row."""
+    spec = random_many_action(np.random.default_rng(4))
+    n = spec.n_actions
+    calls, counts, placed = [0], {"tangents": 0, "rounds": 0}, []
+    first_moment, place = prior_module.Prior.first_moment, design._place
+
+    def counting(self, x):
+        calls[0] += 1
+        return first_moment(self, x)
+
+    def placing(*args):
+        placed.append(calls[0])
+        return place(*args)
+
+    class Counting(_DualSimplex):
+        def add_tangent(self, slope, bound):
+            counts["tangents"] += 1
+            super().add_tangent(slope, bound)
+
+        def solve(self):
+            counts["rounds"] += 1
+            return super().solve()
+
+    monkeypatch.setattr(prior_module.Prior, "first_moment", counting)
+    monkeypatch.setattr(design, "_place", placing)
+    monkeypatch.setattr(design, "_DualSimplex", Counting)
+    _solve_cells(spec)
+    assert n == 6 and counts["rounds"] >= 3
+    assert placed[0] <= counts["tangents"] + (n - 1) * counts["rounds"], (
+        placed[0], counts)
+
+
 def test_dual_simplex_starts_dual_feasible():
     """The first row of a cell-shaped LP, sum p <= 1, prices every
     objective entry: the fresh basis has no negative value."""
     rng = np.random.default_rng(31)
     for _ in range(40):
-        objective, rows, bounds = _cell_lp(rng)
+        objective, rows, bounds, _ = _cell_lp(rng)
         assert min(_DualSimplex(objective, rows[0], bounds[0]).x_b) >= 0.0
 
 
